@@ -37,12 +37,12 @@ def _load_graph(path) -> WeightedGraph:
         raise CliError(f"cannot read graph {path}: {exc}") from exc
 
 
-def _load_signal(path, n: int) -> np.ndarray:
+def _load_signal(path, n: int | None = None) -> np.ndarray:
     try:
         x = fileio.read_signal(path)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read signal {path}: {exc}") from exc
-    if len(x) != n:
+    if n is not None and len(x) != n:
         raise CliError(f"signal {path} has {len(x)} values, graph has {n} nodes")
     return x
 
@@ -159,7 +159,8 @@ def cmd_analyze(args) -> int:
     fileio.write_manifest(manifest, outdir / "manifest.json")
     for j, level in enumerate(pyramid.levels, start=1):
         sizes = [len(c) for c in level.channels]
-        assert sum(sizes) == level.n
+        if sum(sizes) != level.n:
+            raise ValueError(f"level {j} is not critically sampled: {sum(sizes)} != {level.n}")
         print(f"level {j}: n={level.n} channels={sizes} (sum={sum(sizes)})")
     print(f"final approximation size: {len(pyramid.final_approximation)}")
     print(f"manifest: {outdir / 'manifest.json'}")
@@ -292,8 +293,8 @@ def cmd_atoms(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    ref = fileio.read_signal(args.reference)
-    est = fileio.read_signal(args.estimate)
+    ref = _load_signal(args.reference)
+    est = _load_signal(args.estimate)
     if len(ref) != len(est):
         raise CliError("signals differ in length")
     print(f"psnr: {psnr(ref, est)}")

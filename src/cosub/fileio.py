@@ -60,7 +60,10 @@ def write_signal(values, path) -> None:
 def read_signal(path) -> np.ndarray:
     values = [float(line) for line in Path(path).read_text().splitlines()
               if line.strip() and not line.lstrip().startswith("#")]
-    return np.asarray(values, dtype=np.float64)
+    x = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{path}: non-finite signal value")
+    return x
 
 
 def write_partition(partition: SubgraphPartition, path, zero_based: bool = False) -> None:

@@ -113,7 +113,8 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     sizes = partition.sizes
     n_channels = int(sizes.max())
     index_lists = [np.flatnonzero(sizes >= l) + 1 for l in range(1, n_channels + 1)]
-    assert sum(len(idx) for idx in index_lists) == graph.n
+    if sum(len(idx) for idx in index_lists) != graph.n:
+        raise ValueError("channel sizes do not add up to the graph size")
     return LevelOperators(partition=partition, node_lists=node_lists, bases=bases,
                           index_lists=index_lists, n_channels=n_channels, p=p)
 
@@ -226,7 +227,7 @@ class Pyramid:
                        p=self.p, n=self.n)
 
 
-def _as_partitioner(partitions, p_config_allowed=True):
+def _as_partitioner(partitions):
     if isinstance(partitions, PartitionConfig):
         config = partitions
 

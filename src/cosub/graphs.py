@@ -50,8 +50,8 @@ class WeightedGraph:
                 raise ValueError(f"self-loop on node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if w <= 0.0:
-                raise ValueError(f"non-positive weight {w} on edge ({u},{v})")
+            if not 0.0 < w < np.inf:
+                raise ValueError(f"weight {w} on edge ({u},{v}) is not positive and finite")
             if u > v:
                 u, v = v, u
             us.append(u)
@@ -72,6 +72,8 @@ class WeightedGraph:
         a = sp.coo_matrix(matrix)
         if a.shape[0] != a.shape[1]:
             raise ValueError("adjacency matrix must be square")
+        if not np.all(np.isfinite(a.data)):
+            raise ValueError("adjacency weights must be finite")
         scale = max(1.0, abs(a.data).max()) if a.nnz else 1.0
         asym = abs(a - a.T)
         if asym.nnz and asym.max() > 1e-12 * scale:
@@ -296,6 +298,8 @@ def as_signal(values, n: int) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError(f"signal must be a vector of length {n}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal values must be finite")
     return x
 
 

@@ -13,6 +13,13 @@ EIGENVALUE_GROUP_RTOL = 1e-8
 SIGN_EPS = 1e-12
 # Residual bound enforced on the synthesis/analysis pairing.
 DUAL_RESIDUAL_TOL = 1e-10
+# Constraint rows at or below this norm impose nothing on a multiplet.
+NEGLIGIBLE_ROW_NORM = 1e-12
+# Smallest |R_kk| of the trailing-row QR for which a multiplet counts as
+# generic.  It sits far above the reference search's SVD rank tolerance, so
+# the closed form only runs where that search would settle on the nominal
+# zero count at every step.
+GENERIC_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +74,21 @@ def _sign_canonicalize(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _canonical_columns(vecs: np.ndarray, p: int) -> np.ndarray:
+    """Column-wise `lp_normalize` followed by the sign rule, for a whole block."""
+    if p not in (1, 2):
+        raise ValueError("normalization exponent must be 1 or 2")
+    norms = np.abs(vecs).sum(axis=0) if p == 1 else np.sqrt((vecs * vecs).sum(axis=0))
+    if np.any(norms == 0.0):
+        raise ValueError("cannot normalize the zero vector")
+    out = vecs / norms
+    nz = np.abs(out) > SIGN_EPS * np.sqrt((out * out).sum(axis=0))
+    first = nz.argmax(axis=0)
+    flip = nz.any(axis=0) & (out[first, np.arange(out.shape[1])] < 0.0)
+    out[:, flip] *= -1.0
+    return out
+
+
 def _nullspace(m: np.ndarray, dim: int) -> tuple[int, np.ndarray | None]:
     """Nullspace dimension of an (r, dim) constraint matrix and a basis vector
     when that dimension is exactly one."""
@@ -83,16 +105,13 @@ def _nullspace(m: np.ndarray, dim: int) -> tuple[int, np.ndarray | None]:
     return null_dim, None
 
 
-def canonicalize_degenerate(eigenspace: np.ndarray, fixed, p: int) -> np.ndarray:
-    """Deterministic basis of a degenerate eigenspace.
+def _canonicalize_by_search(eigenspace: np.ndarray, fixed, p: int) -> np.ndarray:
+    """Reference form of `canonicalize_degenerate`: one SVD per output vector.
 
-    Vector i (1-based) of an m-dimensional eigenspace gets its last (m - i)
-    coefficients forced to exactly zero and must be orthogonal to all `fixed`
-    vectors and to the i-1 vectors already produced; the surviving direction
-    is Lp-normalized with its first non-zero coefficient positive.  When the
-    zero pattern leaves no solution the trailing-zero constraints are released
-    one position at a time; when it leaves several, further trailing positions
-    are zeroed until the direction is pinned down.
+    Each vector's constraint rows (fixed vectors, vectors already produced,
+    trailing coordinates) are stacked and their one-dimensional null space is
+    searched for, releasing or adding trailing zeros until it exists.  This
+    handles every zero pattern, including those the closed form refuses.
     """
     e = np.asarray(eigenspace, dtype=np.float64)
     if e.ndim == 1:
@@ -113,7 +132,7 @@ def canonicalize_degenerate(eigenspace: np.ndarray, fixed, p: int) -> np.ndarray
                 rows.extend(basis[n - zeros:, :])
             # Rows of negligible norm (vectors already orthogonal to the
             # subspace, or coordinates absent from it) impose no constraint.
-            rows = [r for r in rows if np.linalg.norm(r) > 1e-12]
+            rows = [r for r in rows if np.linalg.norm(r) > NEGLIGIBLE_ROW_NORM]
             mat = np.vstack(rows) if rows else np.empty((0, m))
             null_dim, vec = _nullspace(mat, m)
             if null_dim == 1:
@@ -134,6 +153,43 @@ def canonicalize_degenerate(eigenspace: np.ndarray, fixed, p: int) -> np.ndarray
         produced_dirs.append(direction)
         out[:, i - 1] = _sign_canonicalize(lp_normalize(v, p))
     return out
+
+
+def canonicalize_degenerate(eigenspace: np.ndarray, fixed, p: int) -> np.ndarray:
+    """Deterministic basis of a degenerate eigenspace.
+
+    Vector i (1-based) of an m-dimensional eigenspace gets its last (m - i)
+    coefficients forced to exactly zero and must be orthogonal to all `fixed`
+    vectors and to the i-1 vectors already produced; the surviving direction
+    is Lp-normalized with its first non-zero coefficient positive.  When the
+    zero pattern leaves no solution the trailing-zero constraints are released
+    one position at a time; when it leaves several, further trailing positions
+    are zeroed until the direction is pinned down.
+
+    Generic case, in one factorization: let B be an orthonormal frame of the
+    subspace and U the complete QR factor of its last m-1 rows (last node
+    first, as columns).  U[:, :k] spans the last k rows, so U[:, m-i] is the
+    unit direction orthogonal to the last m-i rows and to U[:, m-i+1:], the
+    vectors produced before it, and vector i is B @ U[:, m-i].  Multiplets
+    whose trailing rows are (nearly) dependent, or that some `fixed` vector
+    does not stay orthogonal to, go through `_canonicalize_by_search`.
+    """
+    e = np.asarray(eigenspace, dtype=np.float64)
+    if e.ndim == 1:
+        e = e[:, None]
+    n, m = e.shape
+    basis, _ = np.linalg.qr(e)
+    fixed_rows = [np.asarray(f, dtype=np.float64) @ basis
+                  for f in (fixed if fixed is not None else [])]
+    if m > n or any(np.linalg.norm(r) > NEGLIGIBLE_ROW_NORM for r in fixed_rows):
+        return _canonicalize_by_search(e, fixed, p)
+    u, r = np.linalg.qr(basis[:n - m:-1].T, mode="complete")
+    if np.any(np.abs(np.diagonal(r)) < GENERIC_RANK_TOL):
+        return _canonicalize_by_search(e, fixed, p)
+    out = basis @ u[:, ::-1]
+    # Column i-1 keeps its trailing m-i entries at exactly zero.
+    out[n - m + 1:] = np.triu(out[n - m + 1:], 1)
+    return _canonical_columns(out, p)
 
 
 def _group_eigenvalues(w: np.ndarray) -> list[tuple[int, int]]:
@@ -175,23 +231,15 @@ def laplacian_eigh(lap: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     w[zero_group[0]:zero_group[1]] = 0.0
 
     q = np.empty((n, n))
-    done: list[np.ndarray] = []
-    for start, stop in groups:
-        if start == 0:
-            # Constant mode of a connected Laplacian, written exactly.
-            col = np.full(n, 1.0 / n if p == 1 else 1.0 / np.sqrt(n))
-            q[:, 0] = col
-            done.append(col / np.linalg.norm(col))
-            continue
+    # Constant mode of a connected Laplacian, written exactly.
+    q[:, 0] = 1.0 / n if p == 1 else 1.0 / np.sqrt(n)
+    simple = []
+    for start, stop in groups[1:]:
         if stop - start == 1:
-            col = _sign_canonicalize(lp_normalize(v[:, start], p))
-            q[:, start] = col
-            done.append(col / np.linalg.norm(col))
-            continue
-        block = canonicalize_degenerate(v[:, start:stop], done, p)
-        q[:, start:stop] = block
-        for j in range(block.shape[1]):
-            done.append(block[:, j] / np.linalg.norm(block[:, j]))
+            simple.append(start)
+        else:
+            q[:, start:stop] = canonicalize_degenerate(v[:, start:stop], None, p)
+    q[:, simple] = _canonical_columns(v[:, simple], p)
     return w, q
 
 

@@ -54,6 +54,13 @@ class TestFileFormats:
         fileio.write_signal(values, path)
         assert np.array_equal(fileio.read_signal(path), values)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_signal_non_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "x.csv"
+        path.write_text(f"1.0\n{bad}\n0.5\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            fileio.read_signal(path)
+
     def test_partition_zero_based_flag(self, tmp_path):
         path = tmp_path / "p.txt"
         part = SubgraphPartition.from_labels([1, 1, 2])
@@ -117,6 +124,26 @@ class TestAnalyzeSynthesize:
         code = main(["analyze", "--graph", str(toy_files["graph"]),
                      "--signal", str(toy_files["signal"]),
                      "--levels", "0", "--outdir", str(toy_files["dir"] / "r")])
+        assert code == 2
+
+    def test_nan_edge_weight_is_usage_error(self, toy_files, capsys):
+        toy_files["graph"].write_text("0\t1\n0\t2\tnan\n1\t2\n2\t3\n3\t4\n")
+        code = main(["analyze", "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]),
+                     "--levels", "1", "--outdir", str(toy_files["dir"] / "r")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (toy_files["dir"] / "r").exists()
+
+    def test_nan_signal_is_usage_error(self, toy_files, capsys):
+        toy_files["signal"].write_text("1.0\n-1.0\nnan\n0.0\n0.0\n")
+        code = main(["analyze", "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]),
+                     "--levels", "1", "--outdir", str(toy_files["dir"] / "r")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        code = main(["metrics", "--reference", str(toy_files["signal"]),
+                     "--estimate", str(toy_files["signal"])])
         assert code == 2
 
     def test_round_trip_via_manifest(self, toy_files, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_coarsen, graphs_equal, random_connected_partition
-from cosub import (SubgraphPartition, WeightedGraph, coarsen,
+from cosub import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
                    connected_components, extract_local_adjacency,
                    global_fourier, grid_graph, laplacian, line_graph,
                    partition_is_connected, sbm_graph, split_adjacency)
@@ -22,6 +22,23 @@ class TestWeightedGraph:
     def test_rejects_non_positive_weight(self):
         with pytest.raises(ValueError, match="weight"):
             WeightedGraph.from_edges(3, [(0, 1, 0.0)])
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, w)])
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf])
+    def test_from_adjacency_rejects_non_finite_weight(self, w):
+        a = np.array([[0.0, w, 0.0], [w, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            WeightedGraph.from_adjacency(a)
+
+    def test_as_signal_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            as_signal([0.0, np.nan, 1.0], 3)
+        with pytest.raises(ValueError, match="finite"):
+            as_signal([0.0, -np.inf, 1.0], 3)
 
     def test_symmetry_of_adjacency(self, toy_graph):
         a = toy_graph.dense_adjacency()

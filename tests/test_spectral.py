@@ -1,10 +1,14 @@
 """Deterministic eigenbases: normalization, degeneracy rules, dual bases."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosub import (canonicalize_degenerate, dual_basis, laplacian,
-                   local_eigenbasis, lp_normalize, sbm_graph)
+                   local_eigenbasis, lp_normalize, sbm_graph, spectral)
 
 TRIANGLE = np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 PAIR = np.array([[1.0, -1], [-1, 1]])
@@ -137,6 +141,147 @@ class TestCanonicalizeDegenerate:
         assert out.shape == (4, 2)
         assert np.abs(out.T @ out - np.eye(2)).max() < 1e-12
         assert np.all(out[3, :] == 0.0)
+
+
+def _star_edges(leaves):
+    return [(0, k) for k in range(1, leaves + 1)], leaves + 1
+
+
+def _complete_edges(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)], n
+
+
+def _cycle_edges(n):
+    return [(i, (i + 1) % n) for i in range(n)], n
+
+
+def _grid_edges(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return edges, rows * cols
+
+
+def _bipartite_edges(a, b):
+    return [(i, a + j) for i in range(a) for j in range(b)], a + b
+
+
+@st.composite
+def symmetric_laplacians(draw):
+    """Dense Laplacians of highly symmetric graphs (many eigenvalue multiplets),
+    with the node order shuffled so any node may sit in the trailing rows."""
+    family = draw(st.sampled_from(["star", "complete", "cycle", "grid", "bipartite"]))
+    if family == "star":
+        edges, n = _star_edges(draw(st.integers(2, 40)))
+    elif family == "complete":
+        edges, n = _complete_edges(draw(st.integers(3, 16)))
+    elif family == "cycle":
+        edges, n = _cycle_edges(draw(st.integers(4, 40)))
+    elif family == "grid":
+        edges, n = _grid_edges(draw(st.integers(2, 7)), draw(st.integers(2, 7)))
+    else:
+        edges, n = _bipartite_edges(draw(st.integers(1, 8)), draw(st.integers(2, 8)))
+    perm = np.array(draw(st.permutations(range(n))))
+    adj = np.zeros((n, n))
+    for u, v in edges:
+        adj[perm[u], perm[v]] = adj[perm[v], perm[u]] = 1.0
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+def _multiplets(lap):
+    """(multiplet eigenvectors, eigenvectors of all lower eigenvalues) pairs."""
+    w, v = np.linalg.eigh(lap)
+    return [(v[:, start:stop], v[:, :start]) for start, stop in spectral._group_eigenvalues(w)
+            if stop - start > 1]
+
+
+class TestCanonicalizeAgreement:
+    """The closed form against the per-vector search it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lap=symmetric_laplacians(), p=st.sampled_from([1, 2]))
+    def test_matches_reference_search(self, lap, p):
+        for block, _ in _multiplets(lap):
+            fast = canonicalize_degenerate(block, None, p)
+            ref = spectral._canonicalize_by_search(block, None, p)
+            assert np.abs(fast - ref).max() <= 1e-12
+            # Column c has its last m-1-c entries forced to exactly zero
+            # wherever the reference forces them too.
+            n, m = block.shape
+            for c in range(m):
+                forced = min(n - 1 - np.flatnonzero(ref[:, c])[-1], m - 1 - c)
+                assert np.all(fast[n - forced:, c] == 0.0)
+            assert np.array_equal(fast, canonicalize_degenerate(block, None, p))
+
+    @settings(max_examples=30, deadline=None)
+    @given(lap=symmetric_laplacians(), p=st.sampled_from([1, 2]))
+    def test_earlier_eigenvectors_constrain_nothing(self, lap, p):
+        # Eigenspaces of a symmetric matrix are mutually orthogonal, so
+        # passing the eigenvectors of lower eigenvalues as `fixed` is moot.
+        for block, earlier in _multiplets(lap):
+            with_fixed = canonicalize_degenerate(block, list(earlier.T), p)
+            assert np.abs(with_fixed - canonicalize_degenerate(block, None, p)).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(lap=symmetric_laplacians(), p=st.sampled_from([1, 2]))
+    def test_local_eigenbasis_reruns_bit_identical(self, lap, p):
+        a = local_eigenbasis(lap, p)
+        b = local_eigenbasis(lap, p)
+        assert np.array_equal(a.analysis, b.analysis)
+        assert np.array_equal(a.synthesis, b.synthesis)
+
+
+class TestCanonicalizeFallback:
+    @pytest.fixture
+    def search_calls(self, monkeypatch):
+        calls = []
+        reference = spectral._canonicalize_by_search
+
+        def spy(eigenspace, fixed, p):
+            calls.append(p)
+            return reference(eigenspace, fixed, p)
+
+        monkeypatch.setattr(spectral, "_canonicalize_by_search", spy)
+        return calls
+
+    def test_generic_multiplet_skips_search(self, search_calls):
+        eigenspace = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        canonicalize_degenerate(eigenspace, [np.ones(3) / np.sqrt(3)], p=1)
+        assert search_calls == []
+
+    def test_vacuous_trailing_zero_uses_search(self, search_calls):
+        # The last node is absent from the eigenspace, so its row of the
+        # frame vanishes and the closed form does not apply.
+        eigenspace = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
+        out = canonicalize_degenerate(eigenspace, [], p=2)
+        assert search_calls == [2]
+        expected = np.array([[1 / np.sqrt(2), 1 / np.sqrt(6)],
+                             [-1 / np.sqrt(2), 1 / np.sqrt(6)],
+                             [0.0, -2 / np.sqrt(6)],
+                             [0.0, 0.0]])
+        assert np.abs(out - expected).max() < 1e-12
+        assert out[2, 0] == 0.0 and np.all(out[3, :] == 0.0)
+
+    def test_fixed_vector_inside_subspace_uses_search(self, search_calls):
+        # No m orthogonal vectors of an m-dimensional subspace can all be
+        # orthogonal to a vector with a non-zero projection onto it.
+        eigenspace = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="no canonical vector"):
+            canonicalize_degenerate(eigenspace, [np.array([1.0, 0.0, 0.0])], p=1)
+        assert search_calls == [1]
+
+
+def test_star_with_1000_leaves_has_no_cliff():
+    leaves = 1000
+    lap = np.eye(leaves + 1)
+    lap[0, 0] = leaves
+    lap[0, 1:] = lap[1:, 0] = -1.0
+    start = time.perf_counter()
+    basis = local_eigenbasis(lap, p=1)
+    elapsed = time.perf_counter() - start
+    n = leaves + 1
+    assert np.abs(basis.synthesis.T @ basis.analysis - np.eye(n)).max() <= 1e-10
+    assert np.abs(basis.analysis[:, 1:].sum(axis=0)).max() < 1e-10
+    assert elapsed < 5.0, f"1000-leaf star took {elapsed:.2f} s"
 
 
 class TestDualBasis:
