@@ -108,9 +108,16 @@ def best_level_nla(graph: WeightedGraph, signal, partitions, keep_hp,
     """
     x = as_signal(signal, graph.n)
     pyramid = analyze_cascade(graph, x, partitions, p=p, max_levels=max_levels)
+    return best_depth_nla(pyramid, x, keep_hp)[0]
+
+
+def best_depth_nla(pyramid: Pyramid, signal, keep_hp) -> tuple[NlaResult, np.ndarray]:
+    """`best_level_nla` on an existing pyramid of `signal`: the best depth's
+    result and its reconstruction."""
+    x = as_signal(signal, pyramid.n)
     if pyramid.num_levels == 0:
         raise ValueError("the cascade produced no level to compress")
-    best: NlaResult | None = None
+    best: tuple[NlaResult, np.ndarray] | None = None
     for depth in range(1, pyramid.num_levels + 1):
         sub = pyramid.truncated(depth)
         available = sub.detail_counts()
@@ -123,10 +130,10 @@ def best_level_nla(graph: WeightedGraph, signal, partitions, keep_hp,
             reconstruction = synthesize_cascade(nla_compress(sub, kept))
         lp = len(sub.final_approximation)
         result = NlaResult(level=depth, kept_hp=kept, kept_lp=lp,
-                           ratio=compression_ratio(graph.n, lp, kept),
+                           ratio=compression_ratio(pyramid.n, lp, kept),
                            psnr=psnr(x, reconstruction))
-        if best is None or result.psnr > best.psnr:
-            best = result
+        if best is None or result.psnr > best[0].psnr:
+            best = result, reconstruction
     return best
 
 

@@ -13,10 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .applications import (best_level_nla, compression_ratio, denoise,
-                           nla_compress, psnr, snr)
-from .filterbank import (analyze_cascade, build_operators, compute_atoms,
-                         synthesize_cascade, synthesize_level)
+from .applications import best_depth_nla, compression_ratio, denoise, psnr, snr
+from .filterbank import analyze_cascade, build_operators, compute_atoms, synthesize_level
 from .fileio import MANIFEST_VERSION
 from .graphs import WeightedGraph
 from .partition import PartitionConfig, edge_aware_adjacency, louvain, modularity
@@ -30,18 +28,20 @@ class CliError(Exception):
     """Invalid inputs or arguments; maps to exit code 2."""
 
 
-def _load_graph(path) -> WeightedGraph:
+def _read(what: str, read, path, **kwargs):
+    """Run a `fileio` reader; an unreadable or malformed file is a usage error."""
     try:
-        return fileio.read_edge_list(path)
+        return read(path, **kwargs)
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read graph {path}: {exc}") from exc
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_graph(path) -> WeightedGraph:
+    return _read("graph", fileio.read_edge_list, path)
 
 
 def _load_signal(path, n: int | None = None) -> np.ndarray:
-    try:
-        x = fileio.read_signal(path)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read signal {path}: {exc}") from exc
+    x = _read("signal", fileio.read_signal, path)
     if n is not None and len(x) != n:
         raise CliError(f"signal {path} has {len(x)} values, graph has {n} nodes")
     return x
@@ -84,13 +84,8 @@ def cmd_partition(args) -> int:
 
 def _detect_partitions(args, graph, signal):
     if args.partition:
-        fixed = []
-        for path in args.partition:
-            try:
-                part = fileio.read_partition(path, zero_based=args.zero_based_labels)
-            except (OSError, ValueError) as exc:
-                raise CliError(f"cannot read partition {path}: {exc}") from exc
-            fixed.append(part)
+        fixed = [_read("partition", fileio.read_partition, path,
+                       zero_based=args.zero_based_labels) for path in args.partition]
         if fixed[0].n != graph.n:
             raise CliError("first partition file does not match the graph size")
         from .graphs import partition_is_connected
@@ -168,36 +163,36 @@ def cmd_analyze(args) -> int:
 
 
 def _rebuild_from_manifest(manifest: dict, base: Path):
-    """Per-level operators and detail channels, deepest first checks deferred."""
+    """Per-level operators and detail channels, and the final approximation."""
+    try:
+        p = manifest["p"]
+        zero_based = manifest.get("zero_based_labels", False)
+        entries = [(entry["n"], base / entry["partition"], base / entry["a_int"],
+                    base / entry["a_ext"], [base / name for name in entry["channels"]])
+                   for entry in manifest["levels"]]
+        final_path = base / manifest["final_approximation"]
+    except (KeyError, TypeError) as exc:
+        raise CliError(f"malformed manifest: missing or invalid field {exc}") from exc
     levels = []
-    for entry in manifest["levels"]:
-        part_path = base / entry["partition"]
-        a_int_path = base / entry["a_int"]
-        a_ext_path = base / entry["a_ext"]
-        chan_paths = [base / name for name in entry["channels"]]
+    for n, part_path, a_int_path, a_ext_path, chan_paths in entries:
         for path in [part_path, a_int_path, a_ext_path, *chan_paths]:
             if not path.exists():
                 raise CliError(f"manifest artifact missing: {path}")
-        partition = fileio.read_partition(part_path,
-                                          zero_based=manifest.get("zero_based_labels", False))
-        a_int = fileio.read_edge_list(a_int_path, n=entry["n"])
-        operators = build_operators(a_int, partition, manifest["p"])
-        details = [fileio.read_signal(path) for path in chan_paths[1:]]
+        partition = _read("manifest artifact", fileio.read_partition, part_path,
+                          zero_based=zero_based)
+        a_int = _read("manifest artifact", fileio.read_edge_list, a_int_path, n=n)
+        operators = build_operators(a_int, partition, p)
+        details = [_read("manifest artifact", fileio.read_signal, path)
+                   for path in chan_paths[1:]]
         levels.append((operators, details))
-    return levels
+    if not final_path.exists():
+        raise CliError(f"manifest artifact missing: {final_path}")
+    return levels, _read("manifest artifact", fileio.read_signal, final_path)
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        manifest = fileio.read_manifest(args.manifest)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read manifest {args.manifest}: {exc}") from exc
-    base = Path(args.manifest).parent
-    levels = _rebuild_from_manifest(manifest, base)
-    final_path = base / manifest["final_approximation"]
-    if not final_path.exists():
-        raise CliError(f"manifest artifact missing: {final_path}")
-    x = fileio.read_signal(final_path)
+    manifest = _read("manifest", fileio.read_manifest, args.manifest)
+    levels, x = _rebuild_from_manifest(manifest, Path(args.manifest).parent)
     for operators, details in reversed(levels):
         x = synthesize_level([x] + details, operators)
     fileio.write_signal(x, args.out)
@@ -209,15 +204,19 @@ def cmd_synthesize(args) -> int:
 
 
 def _parse_keep_hp(text: str):
+    """A count (int) or a fraction of the details (float in [0, 1])."""
     try:
         if text.endswith("%"):
             value = float(text[:-1])
             if not 0.0 <= value <= 100.0:
                 raise CliError("--keep-hp percentage must lie in [0, 100]")
-            return ("fraction", value / 100.0)
-        return ("count", int(text))
+            return value / 100.0
+        count = int(text)
     except ValueError as exc:
         raise CliError(f"invalid --keep-hp value {text!r}") from exc
+    if count < 0:
+        raise CliError("--keep-hp count must be non-negative")
+    return count
 
 
 def cmd_compress(args) -> int:
@@ -225,20 +224,15 @@ def cmd_compress(args) -> int:
     signal = _load_signal(args.signal, graph.n)
     partitions = _detect_partitions(args, graph, signal)
     p = _norm_exponent(args.norm)
-    kind, value = _parse_keep_hp(args.keep_hp)
-    keep = value if kind == "fraction" and 0.0 < value < 1.0 else None
+    keep = _parse_keep_hp(args.keep_hp)
     pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
     if pyramid.num_levels == 0:
         raise CliError("cascade produced no level (graph too small or no progress)")
-    if keep is None:
-        total = pyramid.detail_counts()
-        keep = int(round(value * total)) if kind == "fraction" else value
-    result = best_level_nla(graph, signal, partitions, keep, p=p, max_levels=args.levels)
-    best = pyramid.truncated(result.level)
-    if result.kept_hp == best.detail_counts():
-        reconstruction = signal
-    else:
-        reconstruction = synthesize_cascade(nla_compress(best, result.kept_hp))
+    if isinstance(keep, float) and keep == 1.0:
+        # 100% keeps every detail at every depth; as a float, 1.0 would
+        # read as a count of one.
+        keep = pyramid.detail_counts()
+    result, reconstruction = best_depth_nla(pyramid, signal, keep)
     fileio.write_signal(reconstruction, args.out)
     print(f"level: {result.level}")
     print(f"kept_lp: {result.kept_lp}")

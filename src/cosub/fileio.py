@@ -92,6 +92,6 @@ def write_manifest(data: dict, path) -> None:
 
 def read_manifest(path) -> dict:
     data = json.loads(Path(path).read_text())
-    if data.get("format_version") != MANIFEST_VERSION:
+    if not isinstance(data, dict) or data.get("format_version") != MANIFEST_VERSION:
         raise ValueError(f"{path}: unsupported manifest version")
     return data

@@ -21,6 +21,8 @@ class LevelOperators:
     original node indices of subgraph k+1 (ascending) and `bases[k]` its local
     eigenbasis.  Channel l collects the l-th local mode of every subgraph with
     at least l nodes; `index_lists[l-1]` are those subgraph labels, ascending.
+    Only channel 1 (the approximation) is coarsened further: its graph is the
+    level's `PyramidLevel.coarse_graph`.
     """
 
     partition: SubgraphPartition
@@ -120,12 +122,13 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
 
 
 def analyze_level(signal, graph: WeightedGraph, operators: LevelOperators,
-                  a_ext: WeightedGraph) -> tuple[list[np.ndarray], list[WeightedGraph]]:
-    """Single-level analysis: channel signals and the coarsened graphs.
+                  a_ext: WeightedGraph) -> tuple[list[np.ndarray], WeightedGraph]:
+    """Single-level analysis: channel signals and the coarse graph.
 
     Channel l holds one coefficient per subgraph with at least l nodes, in
-    ascending label order; the coarse graph for channel l aggregates the
-    inter-subgraph edges over the same supernodes.
+    ascending label order.  The coarse graph carries the approximation
+    channel: one supernode per subgraph, joined by the summed inter-subgraph
+    edges of `a_ext`.
     """
     x = as_signal(signal, graph.n)
     if operators.n != graph.n or a_ext.n != graph.n:
@@ -136,9 +139,7 @@ def analyze_level(signal, graph: WeightedGraph, operators: LevelOperators,
         coeffs = basis.analysis.T @ x[nodes]
         for l in range(len(nodes)):
             channels[l][positions[l][k]] = coeffs[l]
-    coarse = [coarsen(a_ext, operators.partition, include_labels=idx)
-              for idx in operators.index_lists]
-    return channels, coarse
+    return channels, coarsen(a_ext, operators.partition)
 
 
 def _label_positions(operators: LevelOperators) -> list[np.ndarray]:
@@ -172,9 +173,8 @@ def synthesize_level(channels: list[np.ndarray], operators: LevelOperators) -> n
 class PyramidLevel:
     """One analysis level: its partition, operators, channels and structure.
 
-    The level's input graph is stored split as a_int + a_ext; coarse_graphs[0]
-    is the next level's input graph, the others are the detail-channel graphs
-    kept for completeness (the cascade never descends into them).
+    The level's input graph is stored split as a_int + a_ext; coarse_graph,
+    the approximation channel's graph, is the next level's input graph.
     """
 
     partition: SubgraphPartition
@@ -182,7 +182,7 @@ class PyramidLevel:
     channels: list
     a_int: WeightedGraph
     a_ext: WeightedGraph
-    coarse_graphs: list
+    coarse_graph: WeightedGraph
 
     @property
     def n(self) -> int:
@@ -283,8 +283,8 @@ def analyze_cascade(graph: WeightedGraph, signal, partitions, p: int = 1,
         ops = build_operators(current, part, p)
         channels, coarse = analyze_level(x, current, ops, a_ext)
         levels.append(PyramidLevel(partition=part, operators=ops, channels=channels,
-                                   a_int=a_int, a_ext=a_ext, coarse_graphs=coarse))
-        current = coarse[0]
+                                   a_int=a_int, a_ext=a_ext, coarse_graph=coarse))
+        current = coarse
         x = channels[0]
     return Pyramid(levels=levels, final_approximation=x.copy(), p=p, n=graph.n)
 

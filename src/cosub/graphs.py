@@ -169,11 +169,10 @@ class SubgraphPartition:
     def compact(cls, raw_labels) -> "SubgraphPartition":
         """Relabel arbitrary class ids to 1..K ordered by smallest member index."""
         raw = np.asarray(raw_labels)
-        values, first = np.unique(raw, return_index=True)
-        order = np.argsort(first, kind="stable")
-        mapping = {int(values[c]): i + 1 for i, c in enumerate(order)}
-        labels = np.array([mapping[int(c)] for c in raw], dtype=np.int64)
-        return cls(labels=labels, n_subgraphs=len(values))
+        values, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+        rank = np.empty(len(values), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(1, len(values) + 1)
+        return cls(labels=rank[inverse], n_subgraphs=len(values))
 
     @property
     def n(self) -> int:
@@ -242,30 +241,22 @@ def partition_is_connected(graph: WeightedGraph, partition: SubgraphPartition) -
     return comp.n_subgraphs == partition.n_subgraphs
 
 
-def coarsen(graph: WeightedGraph, partition: SubgraphPartition,
-            include_labels: np.ndarray | None = None) -> WeightedGraph:
+def coarsen(graph: WeightedGraph, partition: SubgraphPartition) -> WeightedGraph:
     """Aggregate nodes into one supernode per subgraph label.
 
-    Supernode pair weight is the summed weight of edges between the two
-    subgraphs; the diagonal is forced to zero (no self-loops).  When
-    `include_labels` is given (ascending), only those subgraphs become
-    supernodes and edges touching other subgraphs are dropped; supernode j
-    then stands for include_labels[j].
+    Supernode j stands for label j+1.  Supernode pair weight is the summed
+    weight of edges between the two subgraphs; the diagonal is forced to zero
+    (no self-loops).
     """
     if partition.n != graph.n:
         raise ValueError("partition length does not match graph size")
-    if include_labels is None:
-        include_labels = np.arange(1, partition.n_subgraphs + 1)
-    include_labels = np.asarray(include_labels, dtype=np.int64)
-    pos = -np.ones(partition.n_subgraphs + 1, dtype=np.int64)
-    pos[include_labels] = np.arange(len(include_labels))
     u, v, w = graph.edge_arrays()
-    cu = pos[partition.labels[u]]
-    cv = pos[partition.labels[v]]
-    mask = (cu >= 0) & (cv >= 0) & (cu != cv)
+    cu = partition.labels[u] - 1
+    cv = partition.labels[v] - 1
+    mask = cu != cv
     lo = np.minimum(cu[mask], cv[mask])
     hi = np.maximum(cu[mask], cv[mask])
-    m = len(include_labels)
+    m = partition.n_subgraphs
     key = lo * m + hi
     uniq, inv = np.unique(key, return_inverse=True)
     weights = np.bincount(inv, weights=w[mask], minlength=len(uniq))

@@ -81,7 +81,7 @@ def test_criterion_1_toy_golden_values():
         assert np.abs(ops.grouping_matrix(l).toarray() - omega[l]).max() <= TOL_EXACT
 
     pyramid = analyze_cascade(graph, np.arange(5.0), [part1, part2], p=1)
-    coarse = pyramid.levels[0].coarse_graphs[0]
+    coarse = pyramid.levels[0].coarse_graph
     assert np.abs(coarse.dense_adjacency() - [[0.0, 1.0], [1.0, 0.0]]).max() <= TOL_EXACT
 
     second = pyramid.levels[1].operators

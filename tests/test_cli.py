@@ -1,9 +1,13 @@
 """File formats and the command-line pipeline."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from cosub import SubgraphPartition, WeightedGraph, fileio
+from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph, analyze_cascade,
+                   best_level_nla, fileio, nla_compress, sbm_graph, synthesize_cascade)
 from cosub.cli import main
 
 
@@ -204,6 +208,35 @@ class TestAnalyzeSynthesize:
                      "--outdir", str(tmp_path / "r")])
         assert code == 3
 
+    def test_nan_final_approximation_is_usage_error(self, toy_files, capsys):
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        (outdir / "final_approximation.csv").write_text("nan\n")
+        code = main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(toy_files["dir"] / "rec.csv")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_garbled_partition_artifact_is_usage_error(self, toy_files, capsys):
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        (outdir / "level1_partition.txt").write_text("1\n1\nx\n2\n2\n")
+        code = main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(toy_files["dir"] / "rec.csv")])
+        assert code == 2
+        assert "level1_partition.txt" in capsys.readouterr().err
+
+    def test_manifest_without_levels_is_usage_error(self, toy_files, capsys):
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        del manifest["levels"]
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(toy_files["dir"] / "rec.csv")])
+        assert code == 2
+        assert "levels" in capsys.readouterr().err
+
     def test_analyze_byte_identical_reruns(self, toy_files):
         out1 = toy_files["dir"] / "r1"
         out2 = toy_files["dir"] / "r2"
@@ -268,3 +301,75 @@ class TestOtherCommands:
         assert code == 0
         assert np.abs(fileio.read_signal(out)
                       - fileio.read_signal(toy_files["signal"])).max() < 1e-10
+
+
+@pytest.fixture
+def sbm_files(tmp_path):
+    """A 48-node SBM (6 blocks of 8) and a noisy blockwise-constant signal."""
+    graph = sbm_graph([8] * 6, 0.8, 0.1, 3)
+    rng = np.random.default_rng(3)
+    x = np.repeat(rng.normal(size=6), 8) + 0.1 * rng.normal(size=48)
+    fileio.write_edge_list(graph, tmp_path / "g.tsv")
+    fileio.write_signal(x, tmp_path / "x.csv")
+    return {"graph": tmp_path / "g.tsv", "signal": tmp_path / "x.csv", "dir": tmp_path}
+
+
+class TestCompressCommand:
+    CONFIG = PartitionConfig("sc", seed=4)
+
+    def run_compress(self, files, keep):
+        out = files["dir"] / "compressed.csv"
+        code = main(["compress", "--graph", str(files["graph"]),
+                     "--signal", str(files["signal"]), "--impl", "sc", "--seed", "4",
+                     "--levels", "3", "--norm", "l1", "--keep-hp", keep, "--out", str(out)])
+        return code, out
+
+    # sha256 of compressed.csv and the printed report, pinned from a run of
+    # the version that built the cascade twice per compress.
+    PINNED = {
+        "10%": ("8eb2f224f70812e2037fbb64d24a611a615253874d2764c6232d2c618aebbf95",
+                "level: 1\nkept_lp: 6\nkept_hp: 4\nratio: 4.8000\npsnr: 32.12106530847863\n"),
+        "3": ("14da84e913906bf4bca3a2cbd6971db8a0f9bc1b99f75ed63f00e1f960a2350e",
+              "level: 1\nkept_lp: 6\nkept_hp: 3\nratio: 5.3333\npsnr: 31.629550321095653\n"),
+        "0%": ("be8e85d785952a6c3ec2c67e2cfddc3b4d7576c028177e3e198288370015a788",
+               "level: 1\nkept_lp: 6\nkept_hp: 0\nratio: 8.0000\npsnr: 28.717817052613412\n"),
+        "100%": ("128a029cc7f1e290c779dd8551795bf9bf45c04f73c07c69534c4bfb94af2d1d",
+                 "level: 1\nkept_lp: 6\nkept_hp: 42\nratio: 1.0000\npsnr: inf\n"),
+    }
+
+    @pytest.mark.parametrize("keep", sorted(PINNED))
+    def test_matches_pinned_run(self, sbm_files, capsys, keep):
+        code, out = self.run_compress(sbm_files, keep)
+        assert code == 0
+        digest, report = self.PINNED[keep]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert capsys.readouterr().out == report
+
+    def test_keep_none_drops_every_detail(self, sbm_files, capsys):
+        code, out = self.run_compress(sbm_files, "0%")
+        assert code == 0
+        assert "kept_hp: 0\n" in capsys.readouterr().out
+        x = fileio.read_signal(sbm_files["signal"])
+        graph = fileio.read_edge_list(sbm_files["graph"])
+        expected = best_level_nla(graph, x, self.CONFIG, 0, p=1, max_levels=3)
+        pyramid = analyze_cascade(graph, x, self.CONFIG, p=1, max_levels=3)
+        best = pyramid.truncated(expected.level)
+        assert np.array_equal(fileio.read_signal(out),
+                              synthesize_cascade(nla_compress(best, 0)))
+
+    def test_keep_all_is_lossless_on_a_cascade(self, sbm_files, capsys):
+        code, out = self.run_compress(sbm_files, "100%")
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "psnr: inf" in printed
+        graph = fileio.read_edge_list(sbm_files["graph"])
+        x = fileio.read_signal(sbm_files["signal"])
+        pyramid = analyze_cascade(graph, x, self.CONFIG, p=1, max_levels=3)
+        assert pyramid.num_levels >= 2
+        assert f"kept_hp: {pyramid.truncated(1).detail_counts()}\n" in printed
+        assert out.read_bytes() == sbm_files["signal"].read_bytes()
+
+    def test_negative_count_is_usage_error(self, sbm_files, capsys):
+        code, _ = self.run_compress(sbm_files, "-1")
+        assert code == 2
+        assert "non-negative" in capsys.readouterr().err

@@ -114,7 +114,7 @@ class TestAnalyzeSynthesizeLevel:
         assert np.allclose(channels[0], [0.0, 0.0], atol=1e-12)
         assert np.allclose(channels[1], [1.0, 0.0], atol=1e-12)
         assert np.allclose(channels[2], [0.0], atol=1e-12)
-        assert np.array_equal(coarse[0].dense_adjacency(), [[0, 1], [1, 0]])
+        assert np.array_equal(coarse.dense_adjacency(), [[0, 1], [1, 0]])
 
     def test_critical_sampling(self, toy_graph, toy_partition):
         ops = toy_operators(toy_graph, toy_partition)
@@ -167,7 +167,7 @@ class TestCascade:
         first, second = pyramid.levels
         rebuilt_input = WeightedGraph.from_adjacency(
             second.a_int.dense_adjacency() + second.a_ext.dense_adjacency())
-        assert graphs_equal(first.coarse_graphs[0], rebuilt_input)
+        assert graphs_equal(first.coarse_graph, rebuilt_input)
 
     def test_structural_shape_14_nodes(self):
         # Five connected groups of sizes (4,3,3,2,2) chained by bridges.

@@ -1,12 +1,18 @@
 """Modularity, greedy detection (SC/LC), edge-aware weights, Haar pairs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import blocks_to_labels, brute_modularity, set_partitions
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph,
                    edge_aware_adjacency, haar_partition, louvain, modularity,
                    partition_is_connected, sbm_graph)
+from cosub.partition import (GAIN_EPS, _aggregate, _local_moves, _split_disconnected,
+                             _WorkingGraph)
 
 
 def two_triangles_bridge() -> WeightedGraph:
@@ -156,3 +162,168 @@ class TestHaarPartition:
     def test_odd_rejected(self):
         with pytest.raises(ValueError, match="even"):
             haar_partition(5)
+
+
+# -- frozen oracle -----------------------------------------------------------
+# `_local_moves` and `_split_disconnected` as they were when they ran on numpy
+# scalars, with a per-node sorted() and a Python DFS.  The current versions
+# must reproduce them bit for bit.
+
+
+def oracle_local_moves(work: _WorkingGraph, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+    """One full local-move phase; returns node->community ids and whether any
+    move was accepted.  Sweeps use a fresh random order each pass; ties in
+    gain go to the smallest community id."""
+    adj = work.adj
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    strength, total = work.strength, work.strength.sum()
+    comm = np.arange(work.n)
+    comm_tot = strength.copy()
+    improved = False
+    while True:
+        moved = 0
+        for i in rng.permutation(work.n):
+            row = slice(indptr[i], indptr[i + 1])
+            neigh, wts = indices[row], data[row]
+            if len(neigh) == 0:
+                continue
+            links: dict[int, float] = {}
+            for j, w in zip(neigh, wts):
+                c = comm[j]
+                links[c] = links.get(c, 0.0) + w
+            old = comm[i]
+            d_i = strength[i]
+            comm_tot[old] -= d_i
+            base = links.get(old, 0.0) - d_i * comm_tot[old] / total
+            # Ascending candidate order plus strict improvement sends exact
+            # gain ties to the smallest community id.
+            best_c, best_gain = old, GAIN_EPS
+            for c in sorted(links):
+                if c == old:
+                    continue
+                gain = links[c] - d_i * comm_tot[c] / total - base
+                if gain > best_gain:
+                    best_c, best_gain = c, gain
+            comm[i] = best_c
+            comm_tot[best_c] += d_i
+            if best_c != old:
+                moved += 1
+        if moved == 0:
+            break
+        improved = True
+    return comm, improved
+
+
+def oracle_split_disconnected(work: _WorkingGraph, comm: np.ndarray) -> np.ndarray:
+    """Split any community that is disconnected in the working graph into its
+    connected components (a strict modularity improvement)."""
+    adj = work.adj
+    indptr, indices = adj.indptr, adj.indices
+    out = -np.ones(work.n, dtype=np.int64)
+    next_id = 0
+    for i in range(work.n):
+        if out[i] >= 0:
+            continue
+        stack = [i]
+        out[i] = next_id
+        while stack:
+            u = stack.pop()
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                if out[v] < 0 and comm[v] == comm[i]:
+                    out[v] = next_id
+                    stack.append(v)
+        next_id += 1
+    return out
+
+
+def oracle_compact(raw_labels) -> np.ndarray:
+    """Relabelling to 1..K by smallest member, through a per-node dict lookup."""
+    raw = np.asarray(raw_labels)
+    values, first = np.unique(raw, return_index=True)
+    order = np.argsort(first, kind="stable")
+    mapping = {int(values[c]): i + 1 for i, c in enumerate(order)}
+    return np.array([mapping[int(c)] for c in raw], dtype=np.int64)
+
+
+@st.composite
+def block_graphs(draw):
+    """Random block graphs with unit, integer (exact gain ties) or float
+    weights; zero cross-block density gives disconnected graphs, and a few
+    trailing nodes stay isolated."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    p_in = draw(st.sampled_from([0.4, 0.8, 1.0]))
+    p_out = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    weights = draw(st.sampled_from(["unit", "integer", "float"]))
+    isolated = max(draw(st.integers(0, 3)), 2 - sum(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(block) + isolated
+    edges = []
+    for i in range(len(block)):
+        for j in range(i + 1, len(block)):
+            if rng.random() < (p_in if block[i] == block[j] else p_out):
+                if weights == "unit":
+                    w = 1.0
+                elif weights == "integer":
+                    w = float(rng.integers(1, 4))
+                else:
+                    w = float(rng.uniform(0.1, 2.0))
+                edges.append((i, j, w))
+    if not edges:
+        edges.append((0, 1, 1.0))
+    return WeightedGraph.from_edges(n, edges)
+
+
+class TestLocalMovesMatchOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(graph=block_graphs(), seed=st.integers(0, 2**16))
+    def test_local_moves_and_split_bit_identical(self, graph, seed):
+        work = _WorkingGraph.from_graph(graph)
+        # A second round runs on an aggregated graph with self-loop weights.
+        for _ in range(2):
+            comm, improved = _local_moves(work, np.random.default_rng(seed))
+            ref, ref_improved = oracle_local_moves(work, np.random.default_rng(seed))
+            assert comm.dtype == np.int64
+            assert np.array_equal(comm, ref) and improved == ref_improved
+            split = _split_disconnected(work, comm)
+            ref_split = oracle_split_disconnected(work, ref)
+            assert split.dtype == ref_split.dtype
+            assert np.array_equal(split, ref_split)
+            work = _aggregate(work, split)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=block_graphs())
+    def test_louvain_labels_match_oracle(self, graph):
+        configs = [PartitionConfig("sc", seed=seed) for seed in (0, 1, 7)]
+        configs += [PartitionConfig("lc", tau=tau, seed=seed)
+                    for seed in (0, 3) for tau in (2, 5, 1000)]
+        for config in configs:
+            labels = louvain(graph, config).labels
+            with mock.patch.multiple("cosub.partition", _local_moves=oracle_local_moves,
+                                     _split_disconnected=oracle_split_disconnected):
+                expected = louvain(graph, config).labels
+            assert np.array_equal(labels, expected), config
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=st.lists(st.integers(-5, 40), min_size=1, max_size=60))
+    def test_compact_matches_dict_relabelling(self, raw):
+        part = SubgraphPartition.compact(raw)
+        assert np.array_equal(part.labels, oracle_compact(raw))
+        assert part.n_subgraphs == len(set(raw))
+
+    def test_exact_tie_joins_smaller_id(self):
+        # Sweep order 0, 2, 4, 1, 3 first puts node 0 into community 3 and
+        # node 2 into community 1, each of total strength 3 (total 8).  Node
+        # 4 then sees community 3 (via node 0) before community 1 (via node
+        # 2), with gain 1 - 2*3/8 = 0.25 for both: it must join 1.
+        graph = WeightedGraph.from_edges(5, [(0, 3), (1, 2), (0, 4), (2, 4)])
+
+        class FixedOrder:
+            def permutation(self, n):
+                return np.array([0, 2, 4, 1, 3])
+
+        work = _WorkingGraph.from_graph(graph)
+        comm, improved = _local_moves(work, FixedOrder())
+        assert improved
+        assert comm.tolist() == [3, 1, 1, 3, 1]
+        assert np.array_equal(comm, oracle_local_moves(work, FixedOrder())[0])
