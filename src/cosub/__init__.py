@@ -1,16 +1,6 @@
 """Critically-sampled biorthogonal filterbanks for graph signals, built on
 partitions of the graph into connected subgraphs."""
 
-import os as _os
-
-# Best-effort thread cap: honoured when this package (not numpy) is the first
-# importer of the BLAS runtime.
-_threads = _os.environ.get("COSUB_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 from .applications import (NlaResult, best_level_nla, compression_ratio,
                            denoise, nla_compress, psnr, smooth_test_signal, snr)
 from .filterbank import (Atoms, LevelOperators, Pyramid, PyramidLevel,

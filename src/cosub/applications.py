@@ -61,36 +61,42 @@ def compression_ratio(total: int, kept_lp: int, kept_hp: int) -> float:
     return total / kept
 
 
+def _map_details(pyramid: Pyramid, transform) -> Pyramid:
+    """Copy of `pyramid` whose detail coefficients are replaced by
+    `transform(d)`, where `d` holds every detail coefficient in ascending
+    (level, channel, index) order."""
+    details = [chan for level in pyramid.levels for chan in level.channels[1:]]
+    mapped = transform(np.concatenate(details or [np.empty(0)]))
+    pieces = iter(np.split(mapped, np.cumsum([len(chan) for chan in details])[:-1]))
+    levels = [replace(level, channels=[level.channels[0].copy()]
+                      + [next(pieces) for _ in level.channels[1:]])
+              for level in pyramid.levels]
+    return Pyramid(levels=levels, final_approximation=pyramid.final_approximation.copy(),
+                   p=pyramid.p, n=pyramid.n)
+
+
 def nla_compress(pyramid: Pyramid, keep_hp: int) -> Pyramid:
     """Keep the `keep_hp` largest-magnitude detail coefficients, zero the rest.
 
     The final approximation channel is always retained in full.  Magnitude
     ties are resolved in ascending (level, channel, index) order.
     """
-    entries = []
-    for j, level in enumerate(pyramid.levels):
-        for l, chan in enumerate(level.channels[1:], start=2):
-            for idx, value in enumerate(chan):
-                entries.append((abs(value), j, l, idx))
-    if keep_hp < 0 or keep_hp > len(entries):
+    if keep_hp < 0 or keep_hp > pyramid.detail_counts():
         raise ValueError("keep_hp must lie in [0, total detail count]")
-    entries.sort(key=lambda e: (-e[0], e[1], e[2], e[3]))
-    keep = {(j, l, idx) for _, j, l, idx in entries[:keep_hp]}
-    new_levels = []
-    for j, level in enumerate(pyramid.levels):
-        channels = [level.channels[0].copy()]
-        for l, chan in enumerate(level.channels[1:], start=2):
-            kept = np.array([v if (j, l, i) in keep else 0.0
-                             for i, v in enumerate(chan)])
-            channels.append(kept)
-        new_levels.append(replace(level, channels=channels))
-    return Pyramid(levels=new_levels,
-                   final_approximation=pyramid.final_approximation.copy(),
-                   p=pyramid.p, n=pyramid.n)
+
+    def keep_largest(details: np.ndarray) -> np.ndarray:
+        kept = np.zeros_like(details)
+        top = np.argsort(-np.abs(details), kind="stable")[:keep_hp]
+        kept[top] = details[top]
+        return kept
+
+    return _map_details(pyramid, keep_largest)
 
 
 def _resolve_keep(keep_hp, available: int) -> int:
-    if isinstance(keep_hp, float) and 0.0 < keep_hp < 1.0:
+    if isinstance(keep_hp, float):
+        if not 0.0 <= keep_hp <= 1.0:
+            raise ValueError("a fractional keep_hp must lie in [0, 1]")
         return round(keep_hp * available)
     count = int(keep_hp)
     if count < 0:
@@ -103,8 +109,8 @@ def best_level_nla(graph: WeightedGraph, signal, partitions, keep_hp,
     """Evaluate the non-linear approximation at every cascade depth and return
     the depth with the best reconstruction.
 
-    `keep_hp` is an absolute detail-coefficient count, or a fraction in (0, 1)
-    of the details available at each depth.
+    `keep_hp` is an absolute detail-coefficient count (an int), or a float
+    fraction in [0, 1] of the details available at each depth.
     """
     x = as_signal(signal, graph.n)
     pyramid = analyze_cascade(graph, x, partitions, p=p, max_levels=max_levels)
@@ -153,16 +159,8 @@ def denoise(graph: WeightedGraph, noisy, sigma: float, levels: int,
     x = as_signal(noisy, graph.n)
     pyramid = analyze_cascade(graph, x, partitions, p=p, max_levels=levels)
     threshold = 3.0 * sigma
-    new_levels = []
-    for level in pyramid.levels:
-        channels = [level.channels[0].copy()]
-        for chan in level.channels[1:]:
-            channels.append(np.where(np.abs(chan) > threshold, chan, 0.0))
-        new_levels.append(replace(level, channels=channels))
-    cleaned = Pyramid(levels=new_levels,
-                      final_approximation=pyramid.final_approximation.copy(),
-                      p=pyramid.p, n=pyramid.n)
-    return synthesize_cascade(cleaned)
+    return synthesize_cascade(_map_details(
+        pyramid, lambda details: np.where(np.abs(details) > threshold, details, 0.0)))
 
 
 def smooth_test_signal(graph: WeightedGraph, k: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from . import fileio
 from .applications import best_depth_nla, compression_ratio, denoise, psnr, snr
 from .filterbank import analyze_cascade, build_operators, compute_atoms, synthesize_level
 from .fileio import MANIFEST_VERSION
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, partition_is_connected
 from .partition import PartitionConfig, edge_aware_adjacency, louvain, modularity
 
 EXIT_OK = 0
@@ -86,14 +86,16 @@ def _detect_partitions(args, graph, signal):
     if args.partition:
         fixed = [_read("partition", fileio.read_partition, path,
                        zero_based=args.zero_based_labels) for path in args.partition]
-        if fixed[0].n != graph.n:
-            raise CliError("first partition file does not match the graph size")
-        from .graphs import partition_is_connected
-
-        if not partition_is_connected(graph, fixed[0]):
-            raise CliError("first partition file has a disconnected subgraph")
+        _check_partition(graph, fixed[0], "first partition file")
         return fixed
     return _partition_config(args)
+
+
+def _check_partition(graph, partition, what: str) -> None:
+    if partition.n != graph.n:
+        raise CliError(f"{what} has {partition.n} labels, graph has {graph.n} nodes")
+    if not partition_is_connected(graph, partition):
+        raise CliError(f"{what} has a disconnected subgraph")
 
 
 def _analysis_artifacts(pyramid, outdir: Path, zero_based: bool):
@@ -173,6 +175,8 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
         final_path = base / manifest["final_approximation"]
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed manifest: missing or invalid field {exc}") from exc
+    if p not in (1, 2):
+        raise CliError(f"malformed manifest: p must be 1 or 2, got {p!r}")
     levels = []
     for n, part_path, a_int_path, a_ext_path, chan_paths in entries:
         for path in [part_path, a_int_path, a_ext_path, *chan_paths]:
@@ -181,6 +185,7 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
         partition = _read("manifest artifact", fileio.read_partition, part_path,
                           zero_based=zero_based)
         a_int = _read("manifest artifact", fileio.read_edge_list, a_int_path, n=n)
+        _check_partition(a_int, partition, f"manifest artifact {part_path}")
         operators = build_operators(a_int, partition, p)
         details = [_read("manifest artifact", fileio.read_signal, path)
                    for path in chan_paths[1:]]
@@ -193,8 +198,11 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
 def cmd_synthesize(args) -> int:
     manifest = _read("manifest", fileio.read_manifest, args.manifest)
     levels, x = _rebuild_from_manifest(manifest, Path(args.manifest).parent)
-    for operators, details in reversed(levels):
-        x = synthesize_level([x] + details, operators)
+    for j, (operators, details) in reversed(list(enumerate(levels, start=1))):
+        try:
+            x = synthesize_level([x] + details, operators)
+        except ValueError as exc:  # channel count or length
+            raise CliError(f"manifest level {j} is inconsistent: {exc}") from exc
     fileio.write_signal(x, args.out)
     print(f"reconstructed {len(x)} values -> {args.out}")
     if args.reference:
@@ -228,10 +236,6 @@ def cmd_compress(args) -> int:
     pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
     if pyramid.num_levels == 0:
         raise CliError("cascade produced no level (graph too small or no progress)")
-    if isinstance(keep, float) and keep == 1.0:
-        # 100% keeps every detail at every depth; as a float, 1.0 would
-        # read as a count of one.
-        keep = pyramid.detail_counts()
     result, reconstruction = best_depth_nla(pyramid, signal, keep)
     fileio.write_signal(reconstruction, args.out)
     print(f"level: {result.level}")
@@ -269,11 +273,11 @@ def cmd_atoms(args) -> int:
     atoms = compute_atoms(pyramid)
     lines = ["level,channel,subgraph,node,value"]
     for j, level in enumerate(pyramid.levels, start=1):
-        ops = level.operators
+        index_lists = level.operators.index_lists
         blocks = [(1, atoms.approximation[j - 1])]
         blocks += [(l, atoms.details[j - 1][l]) for l in sorted(atoms.details[j - 1])]
         for l, mat in blocks:
-            labels = ops.index_lists[l - 1]
+            labels = index_lists[l - 1]
             dense = mat.toarray()
             for col, label in enumerate(labels):
                 for node in range(pyramid.n):

@@ -20,16 +20,20 @@ class LevelOperators:
     Everything is stored as per-subgraph blocks: `node_lists[k]` are the
     original node indices of subgraph k+1 (ascending) and `bases[k]` its local
     eigenbasis.  Channel l collects the l-th local mode of every subgraph with
-    at least l nodes; `index_lists[l-1]` are those subgraph labels, ascending.
-    Only channel 1 (the approximation) is coarsened further: its graph is the
+    at least l nodes, in ascending label order.  Concatenating the blocks'
+    local coefficients (all modes of subgraph 1, then of subgraph 2, ...)
+    gives the block order; `order` is the stable argsort of each coefficient's
+    mode index in block order, so `flat[order]` lists channel 1, then channel
+    2, and so on, and channel l is the slice `offsets[l-1]:offsets[l]`.  Only
+    channel 1 (the approximation) is coarsened further: its graph is the
     level's `PyramidLevel.coarse_graph`.
     """
 
     partition: SubgraphPartition
     node_lists: list
     bases: list
-    index_lists: list
-    n_channels: int
+    order: np.ndarray
+    offsets: np.ndarray
     p: int
 
     @property
@@ -37,48 +41,47 @@ class LevelOperators:
         return self.partition.n
 
     @property
-    def channel_sizes(self) -> list[int]:
-        return [len(idx) for idx in self.index_lists]
+    def n_channels(self) -> int:
+        return len(self.offsets) - 1
 
-    def _stacked(self, l: int, use_synthesis: bool) -> sp.csc_matrix:
+    @property
+    def channel_sizes(self) -> list[int]:
+        return np.diff(self.offsets).tolist()
+
+    @property
+    def index_lists(self) -> list[np.ndarray]:
+        """`index_lists[l-1]`: the subgraph labels of channel l, ascending."""
+        sizes = self.partition.sizes
+        return [np.flatnonzero(sizes >= l) + 1 for l in range(1, self.n_channels + 1)]
+
+    def _channel_matrix(self, l: int, basis_field: str | None) -> sp.csc_matrix:
+        """Channel l as an n x |channel| CSC matrix: column j holds, on its
+        subgraph's nodes, the l-th column of that subgraph's `basis_field`
+        matrix, or ones when `basis_field` is None."""
         if not 1 <= l <= self.n_channels:
             raise ValueError(f"channel {l} out of range")
-        labels = self.index_lists[l - 1]
-        rows, cols, vals = [], [], []
-        for j, k in enumerate(labels):
-            nodes = self.node_lists[k - 1]
-            basis = self.bases[k - 1]
-            column = basis.synthesis[:, l - 1] if use_synthesis else basis.analysis[:, l - 1]
-            rows.append(nodes)
-            cols.append(np.full(len(nodes), j))
-            vals.append(column)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        return sp.csc_matrix((vals, (rows, cols)), shape=(self.n, len(labels)))
+        members = np.flatnonzero(self.partition.sizes >= l)
+        nodes = [self.node_lists[k] for k in members]
+        indptr = np.concatenate([[0], np.cumsum([len(v) for v in nodes])])
+        if basis_field is None:
+            data = np.ones(indptr[-1])
+        else:
+            data = np.concatenate([getattr(self.bases[k], basis_field)[:, l - 1]
+                                   for k in members])
+        return sp.csc_matrix((data, np.concatenate(nodes), indptr),
+                             shape=(self.n, len(members)))
 
     def analysis_matrix(self, l: int) -> sp.csc_matrix:
         """Channel-l analysis operator: zero-padded l-th local modes as columns."""
-        return self._stacked(l, use_synthesis=False)
+        return self._channel_matrix(l, "analysis")
 
     def synthesis_matrix(self, l: int) -> sp.csc_matrix:
         """Channel-l synthesis operator built from the dual bases."""
-        return self._stacked(l, use_synthesis=True)
+        return self._channel_matrix(l, "synthesis")
 
     def grouping_matrix(self, l: int) -> sp.csc_matrix:
         """Node-to-supernode indicator for subgraphs with at least l nodes."""
-        if not 1 <= l <= self.n_channels:
-            raise ValueError(f"channel {l} out of range")
-        labels = self.index_lists[l - 1]
-        rows, cols = [], []
-        for j, k in enumerate(labels):
-            nodes = self.node_lists[k - 1]
-            rows.append(nodes)
-            cols.append(np.full(len(nodes), j))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        return sp.csc_matrix((np.ones(len(rows)), (rows, cols)),
-                             shape=(self.n, len(labels)))
+        return self._channel_matrix(l, None)
 
 
 def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
@@ -113,12 +116,10 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
         lap[np.diag_indices(len(nodes))] = adj.sum(axis=1)
         bases.append(local_eigenbasis(lap, p))
     sizes = partition.sizes
-    n_channels = int(sizes.max())
-    index_lists = [np.flatnonzero(sizes >= l) + 1 for l in range(1, n_channels + 1)]
-    if sum(len(idx) for idx in index_lists) != graph.n:
-        raise ValueError("channel sizes do not add up to the graph size")
+    mode = np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return LevelOperators(partition=partition, node_lists=node_lists, bases=bases,
-                          index_lists=index_lists, n_channels=n_channels, p=p)
+                          order=np.argsort(mode, kind="stable"),
+                          offsets=np.concatenate([[0], np.cumsum(np.bincount(mode))]), p=p)
 
 
 def analyze_level(signal, graph: WeightedGraph, operators: LevelOperators,
@@ -133,24 +134,10 @@ def analyze_level(signal, graph: WeightedGraph, operators: LevelOperators,
     x = as_signal(signal, graph.n)
     if operators.n != graph.n or a_ext.n != graph.n:
         raise ValueError("operators, graph and inter-subgraph adjacency disagree in size")
-    channels = [np.empty(len(idx)) for idx in operators.index_lists]
-    positions = _label_positions(operators)
-    for k, (nodes, basis) in enumerate(zip(operators.node_lists, operators.bases)):
-        coeffs = basis.analysis.T @ x[nodes]
-        for l in range(len(nodes)):
-            channels[l][positions[l][k]] = coeffs[l]
+    flat = np.concatenate([basis.analysis.T @ x[nodes]
+                           for nodes, basis in zip(operators.node_lists, operators.bases)])
+    channels = np.split(flat[operators.order], operators.offsets[1:-1])
     return channels, coarsen(a_ext, operators.partition)
-
-
-def _label_positions(operators: LevelOperators) -> list[np.ndarray]:
-    """positions[l-1][k-1] = column of subgraph k in channel l (or -1)."""
-    k_total = operators.partition.n_subgraphs
-    out = []
-    for idx in operators.index_lists:
-        pos = -np.ones(k_total, dtype=np.int64)
-        pos[idx - 1] = np.arange(len(idx))
-        out.append(pos)
-    return out
 
 
 def synthesize_level(channels: list[np.ndarray], operators: LevelOperators) -> np.ndarray:
@@ -161,11 +148,13 @@ def synthesize_level(channels: list[np.ndarray], operators: LevelOperators) -> n
     for l, (chan, size) in enumerate(zip(channels, sizes), start=1):
         if len(chan) != size:
             raise ValueError(f"channel {l} has length {len(chan)}, expected {size}")
-    positions = _label_positions(operators)
+    flat = np.empty(operators.n)
+    flat[operators.order] = np.concatenate(channels)
     x = np.zeros(operators.n)
-    for k, (nodes, basis) in enumerate(zip(operators.node_lists, operators.bases)):
-        coeffs = np.array([channels[l][positions[l][k]] for l in range(len(nodes))])
-        x[nodes] = basis.synthesis @ coeffs
+    start = 0
+    for nodes, basis in zip(operators.node_lists, operators.bases):
+        x[nodes] = basis.synthesis @ flat[start:start + len(nodes)]
+        start += len(nodes)
     return x
 
 

@@ -131,6 +131,19 @@ class TestBestLevelNla:
         result = best_level_nla(toy_graph, x, [toy_partition], keep_hp=3, p=1)
         assert result.psnr == math.inf
 
+    def test_fraction_one_keeps_every_detail(self, toy_graph, toy_partition):
+        x = np.array([1.0, -1.0, 0.5, 0.25, 0.0])
+        result = best_level_nla(toy_graph, x, [toy_partition], keep_hp=1.0, p=1)
+        assert result.kept_hp == 3
+        assert result.psnr == math.inf
+
+    @pytest.mark.parametrize("fraction", [1.5, -0.25, 2.0, math.nan])
+    def test_fraction_outside_unit_interval_rejected(self, toy_graph, toy_partition,
+                                                     fraction):
+        x = np.array([1.0, -1.0, 0.5, 0.25, 0.0])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            best_level_nla(toy_graph, x, [toy_partition], keep_hp=fraction, p=1)
+
     def test_fraction_keep(self):
         g = sbm_graph([30, 30], 0.4, 0.02, 4)
         x = smooth_test_signal(g, 3)

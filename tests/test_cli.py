@@ -237,6 +237,52 @@ class TestAnalyzeSynthesize:
         assert code == 2
         assert "levels" in capsys.readouterr().err
 
+    def _tamper_and_synthesize(self, toy_files, tamper):
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        tamper(outdir, manifest)
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        return main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(toy_files["dir"] / "rec.csv")])
+
+    def test_partition_length_mismatch_is_usage_error(self, toy_files, capsys):
+        def tamper(outdir, manifest):
+            (outdir / "level1_partition.txt").write_text("1\n1\n1\n2\n2\n2\n")
+        assert self._tamper_and_synthesize(toy_files, tamper) == 2
+        assert "6 labels, graph has 5 nodes" in capsys.readouterr().err
+
+    def test_disconnected_partition_artifact_is_usage_error(self, toy_files, capsys):
+        def tamper(outdir, manifest):
+            # Class 2 = {1, 3, 4}: node 1 has no intra-subgraph edge to 3 or 4.
+            (outdir / "level1_partition.txt").write_text("1\n2\n1\n2\n2\n")
+        assert self._tamper_and_synthesize(toy_files, tamper) == 2
+        assert "disconnected" in capsys.readouterr().err
+
+    def test_wrong_channel_count_is_usage_error(self, toy_files, capsys):
+        def tamper(outdir, manifest):
+            manifest["levels"][0]["channels"].pop()
+        assert self._tamper_and_synthesize(toy_files, tamper) == 2
+        assert "level 1 is inconsistent: channel count" in capsys.readouterr().err
+
+    def test_wrong_channel_length_is_usage_error(self, toy_files, capsys):
+        def tamper(outdir, manifest):
+            (outdir / "level1_channel_02.csv").write_text("1.0\n")
+        assert self._tamper_and_synthesize(toy_files, tamper) == 2
+        assert "channel 2 has length 1, expected 2" in capsys.readouterr().err
+
+    def test_unknown_norm_exponent_is_usage_error(self, toy_files, capsys):
+        def tamper(outdir, manifest):
+            manifest["p"] = 3
+        assert self._tamper_and_synthesize(toy_files, tamper) == 2
+        assert "p must be 1 or 2" in capsys.readouterr().err
+
+    def test_final_approximation_length_mismatch_is_usage_error(self, toy_files, capsys):
+        def tamper(outdir, manifest):
+            (outdir / "final_approximation.csv").write_text("1.0\n2.0\n")
+        assert self._tamper_and_synthesize(toy_files, tamper) == 2
+        assert "level 2 is inconsistent: channel 1 has length 2" in capsys.readouterr().err
+
     def test_analyze_byte_identical_reruns(self, toy_files):
         out1 = toy_files["dir"] / "r1"
         out2 = toy_files["dir"] / "r2"
@@ -373,3 +419,99 @@ class TestCompressCommand:
         code, _ = self.run_compress(sbm_files, "-1")
         assert code == 2
         assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.fixture
+def uneven_files(tmp_path):
+    """A 35-node SBM with blocks of 3, 5, 8, 2, 6, 4 and 7 nodes, so that the
+    level-1 subgraphs differ in size and channels hold different counts."""
+    sizes = [3, 5, 8, 2, 6, 4, 7]
+    graph = sbm_graph(sizes, 0.8, 0.08, 3)
+    rng = np.random.default_rng(3)
+    x = np.repeat(rng.normal(size=7), sizes) + 0.1 * rng.normal(size=35)
+    fileio.write_edge_list(graph, tmp_path / "g.tsv")
+    fileio.write_signal(x, tmp_path / "x.csv")
+    return {"graph": tmp_path / "g.tsv", "signal": tmp_path / "x.csv", "dir": tmp_path}
+
+
+class TestPinnedArtifacts:
+    """sha256 of every `analyze` artifact except the manifest (which echoes
+    paths) and of `atoms` CSVs, pinned from a run of the version that placed
+    each coefficient with per-label position tables."""
+
+    RUNS = {
+        "l1-sc": ["--impl", "sc", "--seed", "4", "--levels", "3", "--norm", "l1"],
+        "l2-lc": ["--impl", "lc", "--tau", "12", "--seed", "4", "--levels", "3",
+                  "--norm", "l2"],
+    }
+    ANALYZE = {
+        "l1-sc": {
+        "final_approximation.csv": "cf5a1a4d37ead0fc4b5117e14f446b524b3ee9cbbf51dc37dc841893b1cde05c",
+        "level1_a_ext.tsv": "7be3212f3cbe08f1214fcae2b84064b44984953c9eab3e2ed33819a8897b9ec0",
+        "level1_a_int.tsv": "da6b368f5ed96070c621b7cb7757afed9c120d3af78502a044707f4f8c2faeed",
+        "level1_channel_01.csv": "d508bd07274548eeb1f677e8243bb68694bfcb63d06d8e00db79a7634393c78a",
+        "level1_channel_02.csv": "dee43d8ba4af7f64ad9ce6c36c907ab65a0b4252ed16e531d3a82cda3af50d8e",
+        "level1_channel_03.csv": "1bcaf47fc40f7f73a9c96f727c3d44df51275f658aaeb0e0cac1d6353a19e423",
+        "level1_channel_04.csv": "dd436ab2ccce14f687774d41c9dc924af08df43d6d390ad7c06b72c35328b859",
+        "level1_channel_05.csv": "6e81dd079004307c01f632f77c5401a6d146a223f61590a4efb43fb23ef81b22",
+        "level1_channel_06.csv": "85d144c9190f4206d42ecb092c6419caf0ee768053f37042690abcd32213e40f",
+        "level1_channel_07.csv": "8308fc90a645c63e3c51c5b76009e0b71c1d471d1a1d2d44429089723d274664",
+        "level1_channel_08.csv": "72c3641067fc2a7e7e4266e2516b56518120067321314577bbbfdfa3b9c0fa13",
+        "level1_channel_09.csv": "2822d93f64f92148e0ff23dac39cc9dbb6cea0248723e3433d9f192148cfff70",
+        "level1_channel_10.csv": "f58de55b4c2278930d45b26516101ab29f7f2ce6225e613b5e689256b04eabc4",
+        "level1_partition.txt": "0c169b068a3e05a96157e5ab42758c7c37b496e11b85aa38a07a8d3a9b45c4d1",
+        "level2_a_ext.tsv": "3fdeee10cb2d2c513004126bc816d9db949e22976a007ddee122b7888ac28ea2",
+        "level2_a_int.tsv": "15458510dc05af513e5dab6594e97b6571181111b89ab37f9ad55855c9dd10c4",
+        "level2_channel_01.csv": "cf5a1a4d37ead0fc4b5117e14f446b524b3ee9cbbf51dc37dc841893b1cde05c",
+        "level2_channel_02.csv": "bb18bd8b7e341a3e47b5ad91f74b7fd50620a0da6419df3bd12f50e636e9496a",
+        "level2_channel_03.csv": "9fa6dd267490a02b831f046fd32de950f5b1770bbfe9dbd32f096c79ddb37b78",
+        "level2_channel_04.csv": "9c511cc1802f693a87c2347a4efc235f9d56d34f6ae448abcd154b8e9cc4689b",
+        "level2_channel_05.csv": "459bbe86c1b6697cbd92ae3b3e2814d2d74fbb5005890bffb7b87d28ff2b0921",
+        "level2_partition.txt": "189f5286a1d4efad375b47ac2e01252fd71434df0ab84a6a2210fddcc77fe51a",
+        },
+        "l2-lc": {
+        "final_approximation.csv": "9095e92c3336d18d17c79602c05f905315ae349347d3dc2d77a5e2255d5a0ce0",
+        "level1_a_ext.tsv": "7be3212f3cbe08f1214fcae2b84064b44984953c9eab3e2ed33819a8897b9ec0",
+        "level1_a_int.tsv": "da6b368f5ed96070c621b7cb7757afed9c120d3af78502a044707f4f8c2faeed",
+        "level1_channel_01.csv": "223028862abc3d50d44c0cf905dab35584a2c72d092a915fee3fb707e0c85b31",
+        "level1_channel_02.csv": "aef86670032d3d35a752ad81ac73bcccb43af40e7d9af8233b566f1bf1e4e2c0",
+        "level1_channel_03.csv": "fd50e23edeab6401302b3738141205390ee9c82821d69696fa6774c9fda07126",
+        "level1_channel_04.csv": "ad9cc957265c9caa2c9a9f30839484bbc91f8abecbc79f76957ea98fad78a76e",
+        "level1_channel_05.csv": "ce6fa1f76175ef38d8f76d34fd306c8884d50fbf9cbb01aa05ac3458119518ee",
+        "level1_channel_06.csv": "45df46c1c10ce1d4e17295b20376990144153a212e755ca2fc5f26f9ddf5d82f",
+        "level1_channel_07.csv": "02b52c283fe74d90d1dffb76a039919b6c5eface8bc5f4aa9df5a4de7f848cc6",
+        "level1_channel_08.csv": "6eb4c0741288731f23f3747f3f2540a7225f7cd1a4afe7b707880a3cb7520d6a",
+        "level1_channel_09.csv": "d5c1df12f69a94f9246991e78510f3073ec940a0edc728edd7b7f85193b70946",
+        "level1_channel_10.csv": "e91263a0a2fa700e9cf5e88d56fcdbd5504ed2feb069d104399bf46683bb89e8",
+        "level1_partition.txt": "0c169b068a3e05a96157e5ab42758c7c37b496e11b85aa38a07a8d3a9b45c4d1",
+        "level2_a_ext.tsv": "3fdeee10cb2d2c513004126bc816d9db949e22976a007ddee122b7888ac28ea2",
+        "level2_a_int.tsv": "15458510dc05af513e5dab6594e97b6571181111b89ab37f9ad55855c9dd10c4",
+        "level2_channel_01.csv": "9095e92c3336d18d17c79602c05f905315ae349347d3dc2d77a5e2255d5a0ce0",
+        "level2_channel_02.csv": "0463aae07855f3289262111da3df194a269ec62fdeca03985847108819078500",
+        "level2_channel_03.csv": "6236b43f61d576dd535e655e87a65763ec08f5aa30c346b0e16399232ae04785",
+        "level2_channel_04.csv": "5c2b446598c0b1ec75f71713122c3d08be3f79da6ad1997cb0eb51fbb098fe57",
+        "level2_channel_05.csv": "1ed5c46e3075a2bb9f64244fa993afca8b94210f7d0b7f93c5cac47ba81175e9",
+        "level2_partition.txt": "189f5286a1d4efad375b47ac2e01252fd71434df0ab84a6a2210fddcc77fe51a",
+        },
+    }
+    ATOMS = {
+        "l1-sc": "5eaf7554e57b31fb5c7f0fb3ba28d624f7b67de3363875dee073ff7dff7b7a20",
+        "l2-lc": "11fef1ca5fa952dca0d12d9cb0bff0f63ac417ec36d4d913d31ec9fe41d02d05",
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_analyze_artifacts(self, uneven_files, run):
+        outdir = uneven_files["dir"] / run
+        assert main(["analyze", "--graph", str(uneven_files["graph"]),
+                     "--signal", str(uneven_files["signal"]), *self.RUNS[run],
+                     "--outdir", str(outdir)]) == 0
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in outdir.iterdir() if f.name != "manifest.json"}
+        assert got == self.ANALYZE[run]
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_atoms_csv(self, uneven_files, run):
+        out = uneven_files["dir"] / f"atoms-{run}.csv"
+        assert main(["atoms", "--graph", str(uneven_files["graph"]), *self.RUNS[run],
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.ATOMS[run]
