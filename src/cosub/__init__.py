@@ -15,7 +15,8 @@ from .graphs import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
 from .partition import (PartitionConfig, edge_aware_adjacency, haar_partition,
                         louvain, modularity)
 from .spectral import (LocalEigenBasis, canonicalize_degenerate, dual_basis,
-                       laplacian_eigh, local_eigenbasis, lp_normalize)
+                       laplacian_eigh, local_eigenbases, local_eigenbasis,
+                       lp_normalize)
 
 __version__ = "0.1.0"
 
@@ -27,7 +28,7 @@ __all__ = [
     "coarsen", "compression_ratio", "compute_atoms", "connected_components",
     "denoise", "dual_basis", "edge_aware_adjacency", "extract_local_adjacency",
     "global_eigenbasis", "global_fourier", "grid_graph", "haar_partition",
-    "laplacian", "laplacian_eigh", "line_graph", "local_eigenbasis",
+    "laplacian", "laplacian_eigh", "line_graph", "local_eigenbases", "local_eigenbasis",
     "louvain", "lp_normalize", "modularity", "nla_compress",
     "partition_is_connected", "psnr", "sbm_graph", "smooth_test_signal",
     "snr", "split_adjacency", "stacked_analysis", "stacked_synthesis",

@@ -277,11 +277,14 @@ def cmd_atoms(args) -> int:
         blocks = [(1, atoms.approximation[j - 1])]
         blocks += [(l, atoms.details[j - 1][l]) for l in sorted(atoms.details[j - 1])]
         for l, mat in blocks:
-            labels = index_lists[l - 1]
-            dense = mat.toarray()
-            for col, label in enumerate(labels):
-                for node in range(pyramid.n):
-                    lines.append(f"{j},{l},{label},{node},{fileio.FLOAT_FMT % dense[node, col]}")
+            # One row per structural entry of the atom (its support), nodes
+            # ascending.  Exact zeros inside the support are kept; adding 0.0
+            # writes a stored -0.0 as 0, as the dense table did.
+            mat = mat.sorted_indices()
+            for col, label in enumerate(index_lists[l - 1]):
+                span = slice(mat.indptr[col], mat.indptr[col + 1])
+                for node, value in zip(mat.indices[span], mat.data[span] + 0.0):
+                    lines.append(f"{j},{l},{label},{node},{fileio.FLOAT_FMT % value}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     total = sum(mat.shape[1] for lvl in atoms.details for mat in lvl.values())
     if atoms.approximation:
@@ -361,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--signal")
         cmd.add_argument("--out", required=True)
 
-    analysis_like("atoms", "export analysis atoms as CSV", atoms_extra).set_defaults(
-        func=cmd_atoms)
+    analysis_like("atoms", "export analysis atoms as CSV, one row per support entry",
+                  atoms_extra).set_defaults(func=cmd_atoms)
 
     p_met = sub.add_parser("metrics", help="PSNR/SNR between two signal files")
     p_met.add_argument("--reference", required=True)

@@ -12,6 +12,10 @@ from .graphs import SubgraphPartition, WeightedGraph
 
 FLOAT_FMT = "%.17g"
 MANIFEST_VERSION = 1
+# Largest node count an edge list may declare or imply.  Graphs allocate
+# node-indexed arrays before any edge is looked at, so a header or an index
+# naming node 10**12 is rejected here rather than failing on allocation.
+MAX_NODES = 10_000_000
 
 
 def write_edge_list(graph: WeightedGraph, path) -> None:
@@ -49,6 +53,8 @@ def read_edge_list(path, n: int | None = None) -> WeightedGraph:
         if not edges:
             raise ValueError(f"{path}: empty edge list with unknown node count")
         n = max(max(u, v) for u, v, _ in edges) + 1
+    if n > MAX_NODES:
+        raise ValueError(f"{path}: {n} nodes exceed the maximum of {MAX_NODES}")
     return WeightedGraph.from_edges(n, edges)
 
 

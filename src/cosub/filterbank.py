@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from .graphs import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
                      partition_is_connected, split_adjacency)
 from .partition import PartitionConfig, edge_aware_adjacency, louvain
-from .spectral import LocalEigenBasis, local_eigenbasis
+from .spectral import local_eigenbases
 
 
 @dataclass(frozen=True, eq=False)
@@ -19,7 +19,8 @@ class LevelOperators:
 
     Everything is stored as per-subgraph blocks: `node_lists[k]` are the
     original node indices of subgraph k+1 (ascending) and `bases[k]` its local
-    eigenbasis.  Channel l collects the l-th local mode of every subgraph with
+    eigenbasis; subgraphs with byte-identical Laplacians share one read-only
+    basis.  Channel l collects the l-th local mode of every subgraph with
     at least l nodes, in ascending label order.  Concatenating the blocks'
     local coefficients (all modes of subgraph 1, then of subgraph 2, ...)
     gives the block order; `order` is the stable argsort of each coefficient's
@@ -92,11 +93,14 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     if not partition_is_connected(graph, partition):
         raise ValueError("every subgraph of the partition must be connected")
     node_lists = partition.node_lists()
+    sizes = partition.sizes
+    # Local mode index of every coefficient in block order, which is also
+    # each node's rank inside its subgraph.
+    mode = np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local_rank = np.empty(graph.n, dtype=np.int64)
+    local_rank[np.concatenate(node_lists)] = mode
     # One grouped pass over the intra-subgraph edges keeps the whole
     # extraction linear in the graph size.
-    local_rank = np.empty(graph.n, dtype=np.int64)
-    for nodes in node_lists:
-        local_rank[nodes] = np.arange(len(nodes))
     labels = partition.labels
     u, v, w = graph.edge_arrays()
     same = labels[u] == labels[v]
@@ -104,19 +108,18 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     block = labels[bu] - 1
     order = np.argsort(block, kind="stable")
     bounds = np.searchsorted(block[order], np.arange(partition.n_subgraphs + 1))
-    bases: list[LocalEigenBasis] = []
-    for k, nodes in enumerate(node_lists):
+    laplacians = []
+    for k, size in enumerate(sizes):
         sel = order[bounds[k]:bounds[k + 1]]
         rows = local_rank[bu[sel]]
         cols = local_rank[bv[sel]]
-        adj = np.zeros((len(nodes), len(nodes)))
+        adj = np.zeros((size, size))
         adj[rows, cols] = bw[sel]
         adj[cols, rows] = bw[sel]
         lap = -adj
-        lap[np.diag_indices(len(nodes))] = adj.sum(axis=1)
-        bases.append(local_eigenbasis(lap, p))
-    sizes = partition.sizes
-    mode = np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        lap[np.diag_indices(size)] = adj.sum(axis=1)
+        laplacians.append(lap)
+    bases = local_eigenbases(laplacians, p)
     return LevelOperators(partition=partition, node_lists=node_lists, bases=bases,
                           order=np.argsort(mode, kind="stable"),
                           offsets=np.concatenate([[0], np.cumsum(np.bincount(mode))]), p=p)

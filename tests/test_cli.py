@@ -52,6 +52,14 @@ class TestFileFormats:
         fileio.write_edge_list(g, path)
         assert fileio.read_edge_list(path).n == 4
 
+    @pytest.mark.parametrize("text", [f"# nodes: {fileio.MAX_NODES + 1}\n0\t1\n",
+                                      f"0\t1\n1\t{10**12}\n"], ids=["header", "index"])
+    def test_edge_list_node_count_bounded(self, tmp_path, text):
+        path = tmp_path / "g.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="exceed the maximum"):
+            fileio.read_edge_list(path)
+
     def test_signal_round_trip(self, tmp_path):
         path = tmp_path / "x.csv"
         values = np.array([1.25, -0.5, 1e-17, 3.0])
@@ -138,6 +146,16 @@ class TestAnalyzeSynthesize:
         assert code == 2
         assert "finite" in capsys.readouterr().err
         assert not (toy_files["dir"] / "r").exists()
+
+    @pytest.mark.parametrize("text", [f"# nodes: {10**12}\n0\t1\n",
+                                      f"0\t1\n1\t{10**12}\n"], ids=["header", "index"])
+    def test_huge_node_count_is_usage_error(self, toy_files, capsys, text):
+        toy_files["graph"].write_text(text)
+        code = main(["analyze", "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]),
+                     "--levels", "1", "--outdir", str(toy_files["dir"] / "r")])
+        assert code == 2
+        assert "exceed the maximum" in capsys.readouterr().err
 
     def test_nan_signal_is_usage_error(self, toy_files, capsys):
         toy_files["signal"].write_text("1.0\n-1.0\nnan\n0.0\n0.0\n")
@@ -436,8 +454,13 @@ def uneven_files(tmp_path):
 
 class TestPinnedArtifacts:
     """sha256 of every `analyze` artifact except the manifest (which echoes
-    paths) and of `atoms` CSVs, pinned from a run of the version that placed
-    each coefficient with per-label position tables."""
+    paths), pinned from a run of the version that placed each coefficient
+    with per-label position tables, and of `atoms` CSVs.
+
+    `ATOMS_DENSE` pins the earlier atoms format, which wrote every node of
+    every atom; `ATOMS` pins the current one, which writes each atom's
+    support only.  Expanding the current file back to the dense table must
+    reproduce the old pin, so the values themselves stay checked."""
 
     RUNS = {
         "l1-sc": ["--impl", "sc", "--seed", "4", "--levels", "3", "--norm", "l1"],
@@ -495,6 +518,10 @@ class TestPinnedArtifacts:
         },
     }
     ATOMS = {
+        "l1-sc": "046bcc873f442cd694b14017279f9f0afebcbf35dac68d0111df7ec0e2a5bfe0",
+        "l2-lc": "9d36bbe67584ba01670ccd94791d53b9ad14e9269ffa8cd3b8357f40b12b6f8f",
+    }
+    ATOMS_DENSE = {
         "l1-sc": "5eaf7554e57b31fb5c7f0fb3ba28d624f7b67de3363875dee073ff7dff7b7a20",
         "l2-lc": "11fef1ca5fa952dca0d12d9cb0bff0f63ac417ec36d4d913d31ec9fe41d02d05",
     }
@@ -515,3 +542,23 @@ class TestPinnedArtifacts:
         assert main(["atoms", "--graph", str(uneven_files["graph"]), *self.RUNS[run],
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.ATOMS[run]
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_atoms_csv_expands_to_dense_table(self, uneven_files, run):
+        out = uneven_files["dir"] / f"atoms-{run}.csv"
+        assert main(["atoms", "--graph", str(uneven_files["graph"]), *self.RUNS[run],
+                     "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        atoms: dict = {}  # (level, channel, subgraph) -> {node: value text}
+        for row in rows:
+            level, channel, label, node, value = row.split(",")
+            support = atoms.setdefault((level, channel, label), {})
+            assert not support or int(node) > max(support), "nodes must ascend"
+            support[int(node)] = value
+        n = fileio.read_edge_list(uneven_files["graph"]).n
+        dense = [header] + [f"{level},{channel},{label},{node},{support.get(node, '0')}"
+                            for (level, channel, label), support in atoms.items()
+                            for node in range(n)]
+        text = "\n".join(dense) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.ATOMS_DENSE[run]
+        assert len(rows) < len(dense) - 1

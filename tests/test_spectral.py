@@ -1,5 +1,6 @@
 """Deterministic eigenbases: normalization, degeneracy rules, dual bases."""
 
+import re
 import time
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosub import (canonicalize_degenerate, dual_basis, laplacian,
+import spectral_oracle as oracle
+from cosub import (SubgraphPartition, build_operators, canonicalize_degenerate,
+                   dual_basis, grid_graph, laplacian, laplacian_eigh, local_eigenbases,
                    local_eigenbasis, lp_normalize, sbm_graph, spectral)
 
 TRIANGLE = np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 2]])
@@ -190,7 +193,7 @@ def symmetric_laplacians(draw):
 def _multiplets(lap):
     """(multiplet eigenvectors, eigenvectors of all lower eigenvalues) pairs."""
     w, v = np.linalg.eigh(lap)
-    return [(v[:, start:stop], v[:, :start]) for start, stop in spectral._group_eigenvalues(w)
+    return [(v[:, start:stop], v[:, :start]) for start, stop in oracle._group_eigenvalues(w)
             if stop - start > 1]
 
 
@@ -268,6 +271,148 @@ class TestCanonicalizeFallback:
         with pytest.raises(ValueError, match="no canonical vector"):
             canonicalize_degenerate(eigenspace, [np.array([1.0, 0.0, 0.0])], p=1)
         assert search_calls == [1]
+
+
+def _star(leaves: int, hub: int) -> np.ndarray:
+    """Unit star Laplacian with the hub at position `hub`."""
+    n = leaves + 1
+    adj = np.zeros((n, n))
+    adj[hub, :] = adj[:, hub] = 1.0
+    adj[hub, hub] = 0.0
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+@st.composite
+def weighted_laplacians(draw):
+    """Connected graphs on 1-9 nodes with random positive weights: a random
+    spanning tree plus random extra edges."""
+    n = draw(st.integers(1, 9))
+    weight = st.floats(0.125, 8.0, allow_nan=False)
+    adj = np.zeros((n, n))
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        adj[u, v] = adj[v, u] = draw(weight)
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if u != v:
+            adj[u, v] = adj[v, u] = draw(weight)
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+@st.composite
+def mixed_levels(draw):
+    """The local Laplacians of one level: mixed sizes, byte-identical repeats,
+    node-permuted copies, and stars and K_{a,b} with the hub first and last so
+    that generic and fallback multiplets of one (n, m) meet in one stack."""
+    laps = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["symmetric", "weighted", "star", "repeat", "permuted"]))
+        if kind in ("repeat", "permuted") and laps:
+            lap = laps[draw(st.integers(0, len(laps) - 1))]
+            if kind == "permuted":
+                perm = np.array(draw(st.permutations(range(len(lap)))))
+                lap = lap[np.ix_(perm, perm)]
+            laps.append(lap.copy())
+        elif kind == "star":
+            leaves = draw(st.integers(2, 9))
+            laps += [_star(leaves, 0), _star(leaves, leaves)]
+            a, b = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+            k_ab = _bipartite_edges(a, b)[0]
+            for order in (np.arange(a + b), np.arange(a + b)[::-1]):
+                adj = np.zeros((a + b, a + b))
+                for u, v in k_ab:
+                    adj[order[u], order[v]] = adj[order[v], order[u]] = 1.0
+                laps.append(np.diag(adj.sum(axis=1)) - adj)
+        elif kind == "weighted":
+            laps.append(draw(weighted_laplacians()))
+        else:
+            laps.append(draw(symmetric_laplacians()))
+    return laps
+
+
+def _assert_same_basis(got, ref):
+    assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(got.analysis, ref.analysis)
+    assert np.array_equal(got.synthesis, ref.synthesis)
+
+
+class TestStackedAgainstOracle:
+    """The stacked spectral stage against the per-block functions it replaced,
+    kept verbatim in `spectral_oracle`: equal bits, not merely close values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(laps=mixed_levels(), p=st.sampled_from([1, 2]))
+    def test_level_bases_bit_identical(self, laps, p):
+        bases = local_eigenbases(laps, p)
+        assert len(bases) == len(laps)
+        for lap, basis in zip(laps, bases):
+            _assert_same_basis(basis, oracle.local_eigenbasis(lap, p))
+
+    @settings(max_examples=30, deadline=None)
+    @given(lap=st.one_of(symmetric_laplacians(), weighted_laplacians()),
+           p=st.sampled_from([1, 2]))
+    def test_single_block_functions_bit_identical(self, lap, p):
+        _assert_same_basis(local_eigenbasis(lap, p), oracle.local_eigenbasis(lap, p))
+        w, q = laplacian_eigh(lap, p)
+        w_ref, q_ref = oracle.laplacian_eigh(lap, p)
+        assert np.array_equal(w, w_ref) and np.array_equal(q, q_ref)
+        assert np.array_equal(dual_basis(q), oracle.dual_basis(q_ref))
+        for block, earlier in _multiplets(lap):
+            for fixed in (None, list(earlier.T)):
+                assert np.array_equal(canonicalize_degenerate(block, fixed, p),
+                                      oracle.canonicalize_degenerate(block, fixed, p))
+
+    def test_generic_and_fallback_multiplets_in_one_stack(self, monkeypatch):
+        searched = []
+        reference = spectral._canonicalize_by_search
+        monkeypatch.setattr(spectral, "_canonicalize_by_search",
+                            lambda e, fixed, p: searched.append(e.shape) or reference(e, fixed, p))
+        laps = [_star(6, 0), _star(6, 6), _star(6, 1)]
+        for p in (1, 2):
+            for lap, basis in zip(laps, local_eigenbases(laps, p)):
+                _assert_same_basis(basis, oracle.local_eigenbasis(lap, p))
+        # The eigenvalue-1 multiplet has m=5; only the hub-last star has its
+        # hub, a zero row of the frame, among the trailing m-1 rows.
+        assert searched == [(7, 5), (7, 5)]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("bad", [
+        np.array([[1.0, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1]]),
+        np.array([[1.0, -1, 0], [0, 2, -1], [-1, -1, 1]]),
+        np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 3]]),
+    ], ids=["disconnected", "asymmetric", "no-zero-eigenvalue"])
+    def test_invalid_block_raises_the_same_error(self, bad, p):
+        with pytest.raises(ValueError) as ref:
+            oracle.local_eigenbasis(bad, p)
+        message = re.escape(str(ref.value))
+        with pytest.raises(ValueError, match=message):
+            local_eigenbases([TRIANGLE, bad, TRIANGLE], p)
+        with pytest.raises(ValueError, match=message):
+            local_eigenbasis(bad, p)
+
+
+class TestSharedBases:
+    def test_identical_blocks_share_one_basis(self):
+        tile = laplacian(grid_graph(3, 3))
+        bases = local_eigenbases([tile, TRIANGLE, tile.copy(), -tile * -1.0], p=1)
+        assert bases[0] is bases[2] and bases[0] is bases[3]
+        assert bases[1] is not bases[0]
+
+    def test_grid_tiles_share_one_basis_per_level(self):
+        # A 4x6 grid cut into 2x2 tiles: six byte-identical local Laplacians.
+        labels = [(r // 2) * 3 + c // 2 + 1 for r in range(4) for c in range(6)]
+        ops = build_operators(grid_graph(4, 6), SubgraphPartition.from_labels(labels), p=1)
+        assert len(ops.bases) == 6
+        assert all(basis is ops.bases[0] for basis in ops.bases)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_bases_are_read_only(self, p):
+        basis = local_eigenbases([TRIANGLE], p)[0]
+        for array in (basis.eigenvalues, basis.analysis, basis.synthesis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
 
 
 def test_star_with_1000_leaves_has_no_cliff():
