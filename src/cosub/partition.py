@@ -89,17 +89,16 @@ class _WorkingGraph:
     never exported.
     """
 
-    def __init__(self, adj: sp.csr_matrix, loops: np.ndarray, groups: list[np.ndarray]):
+    def __init__(self, adj: sp.csr_matrix, loops: np.ndarray, member: np.ndarray):
         self.adj = adj              # off-diagonal part, symmetric
         self.loops = loops          # diagonal weights, counted once in strengths
-        self.groups = groups        # original nodes behind each working node
+        self.member = member        # working node of each original node
         self.strength = np.asarray(adj.sum(axis=1)).ravel() + loops
         self.n = adj.shape[0]
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph) -> "_WorkingGraph":
-        groups = [np.array([i], dtype=np.int64) for i in range(graph.n)]
-        return cls(graph.adjacency.copy(), np.zeros(graph.n), groups)
+        return cls(graph.adjacency.copy(), np.zeros(graph.n), np.arange(graph.n))
 
 
 def _local_moves(work: _WorkingGraph, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
@@ -173,18 +172,7 @@ def _aggregate(work: _WorkingGraph, comm: np.ndarray) -> _WorkingGraph:
     loops = np.bincount(c, weights=work.loops, minlength=k) + merged.diagonal()
     merged.setdiag(0.0)
     merged.eliminate_zeros()
-    order = np.argsort(c, kind="stable")
-    bounds = np.searchsorted(c[order], np.arange(k + 1))
-    groups = [np.sort(np.concatenate([work.groups[i] for i in order[bounds[j]:bounds[j + 1]]]))
-              for j in range(k)]
-    return _WorkingGraph(merged, loops, groups)
-
-
-def _partition_from_groups(n: int, groups: list[np.ndarray]) -> SubgraphPartition:
-    raw = np.empty(n, dtype=np.int64)
-    for gid, nodes in enumerate(groups):
-        raw[nodes] = gid
-    return SubgraphPartition.compact(raw)
+    return _WorkingGraph(merged, loops, c[work.member])
 
 
 def louvain(graph: WeightedGraph, config: PartitionConfig) -> SubgraphPartition:
@@ -204,19 +192,17 @@ def louvain(graph: WeightedGraph, config: PartitionConfig) -> SubgraphPartition:
     if config.variant == "sc":
         comm, _ = _local_moves(work, rng)
         comm = _split_disconnected(work, comm)
-        merged = _aggregate(work, comm)
-        return _partition_from_groups(graph.n, merged.groups)
+        return SubgraphPartition.compact(comm)
 
     current = work
     while True:
         comm, improved = _local_moves(current, rng)
         if not improved:
-            return _partition_from_groups(graph.n, current.groups)
+            return SubgraphPartition.compact(current.member)
         comm = _split_disconnected(current, comm)
         merged = _aggregate(current, comm)
-        largest = max(len(g) for g in merged.groups)
-        if largest > config.tau:
-            return _partition_from_groups(graph.n, current.groups)
+        if np.bincount(merged.member).max() > config.tau:
+            return SubgraphPartition.compact(current.member)
         if merged.n == current.n:
-            return _partition_from_groups(graph.n, merged.groups)
+            return SubgraphPartition.compact(merged.member)
         current = merged
