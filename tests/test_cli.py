@@ -454,13 +454,16 @@ def uneven_files(tmp_path):
 
 class TestPinnedArtifacts:
     """sha256 of every `analyze` artifact except the manifest (which echoes
-    paths), pinned from a run of the version that placed each coefficient
-    with per-label position tables, and of `atoms` CSVs.
+    paths), and of `atoms` CSVs.  The partitions come from the queue-driven
+    local moves; with the same partitions, the version that placed each
+    coefficient with per-label position tables wrote the same `analyze`
+    artifacts.
 
     `ATOMS_DENSE` pins the earlier atoms format, which wrote every node of
-    every atom; `ATOMS` pins the current one, which writes each atom's
-    support only.  Expanding the current file back to the dense table must
-    reproduce the old pin, so the values themselves stay checked."""
+    every atom, as that version wrote it; `ATOMS` pins the current one, which
+    writes each atom's support only.  Expanding the current file back to the
+    dense table must reproduce the old pin, so the values themselves stay
+    checked."""
 
     RUNS = {
         "l1-sc": ["--impl", "sc", "--seed", "4", "--levels", "3", "--norm", "l1"],
@@ -469,61 +472,65 @@ class TestPinnedArtifacts:
     }
     ANALYZE = {
         "l1-sc": {
-        "final_approximation.csv": "cf5a1a4d37ead0fc4b5117e14f446b524b3ee9cbbf51dc37dc841893b1cde05c",
-        "level1_a_ext.tsv": "7be3212f3cbe08f1214fcae2b84064b44984953c9eab3e2ed33819a8897b9ec0",
-        "level1_a_int.tsv": "da6b368f5ed96070c621b7cb7757afed9c120d3af78502a044707f4f8c2faeed",
-        "level1_channel_01.csv": "d508bd07274548eeb1f677e8243bb68694bfcb63d06d8e00db79a7634393c78a",
-        "level1_channel_02.csv": "dee43d8ba4af7f64ad9ce6c36c907ab65a0b4252ed16e531d3a82cda3af50d8e",
-        "level1_channel_03.csv": "1bcaf47fc40f7f73a9c96f727c3d44df51275f658aaeb0e0cac1d6353a19e423",
-        "level1_channel_04.csv": "dd436ab2ccce14f687774d41c9dc924af08df43d6d390ad7c06b72c35328b859",
-        "level1_channel_05.csv": "6e81dd079004307c01f632f77c5401a6d146a223f61590a4efb43fb23ef81b22",
-        "level1_channel_06.csv": "85d144c9190f4206d42ecb092c6419caf0ee768053f37042690abcd32213e40f",
-        "level1_channel_07.csv": "8308fc90a645c63e3c51c5b76009e0b71c1d471d1a1d2d44429089723d274664",
-        "level1_channel_08.csv": "72c3641067fc2a7e7e4266e2516b56518120067321314577bbbfdfa3b9c0fa13",
-        "level1_channel_09.csv": "2822d93f64f92148e0ff23dac39cc9dbb6cea0248723e3433d9f192148cfff70",
-        "level1_channel_10.csv": "f58de55b4c2278930d45b26516101ab29f7f2ce6225e613b5e689256b04eabc4",
-        "level1_partition.txt": "0c169b068a3e05a96157e5ab42758c7c37b496e11b85aa38a07a8d3a9b45c4d1",
+        "final_approximation.csv": "60b9b35b0a092e0eb32a4bc9fd478b650b727c521c04f75e286e4be5e0723fe9",
+        "level1_a_ext.tsv": "fe62cc8373eb22ae8d5b79fa047e6d0fe9429ef6f662b0dcce502614285ea360",
+        "level1_a_int.tsv": "115958347e2b248d902e9a1630ee54e1dc4d557b02723b3d07a2c544126024e7",
+        "level1_channel_01.csv": "ea96ee023a60d3bc4ca2d07b00ed9f4546eae5ad3a3b94c3cff7ff9e031d22ed",
+        "level1_channel_02.csv": "1e4111ba975200d8b83955632fc9600948e25942f4a3f0548a71da990f016403",
+        "level1_channel_03.csv": "8f55a7858171eaea7a8cb607b35a70132d84a60889bb21ab0dec39674b872bbf",
+        "level1_channel_04.csv": "755df0bf817482e923f8589d6a5799ad915919a8c52a7eb87c4fa876c3f106c5",
+        "level1_channel_05.csv": "e3d555dbe3fe8d6e8153bb4c61107a6ba47c0589578674a0f5b23b09fe88b85e",
+        "level1_channel_06.csv": "a3cae77ba62fad5de9db5b58d33d20cb5144342ddb5b68af37adcb76fb2f1d56",
+        "level1_channel_07.csv": "dfe81013c474c4d2b9e87b608fdfdc6973d63cc2a1e3cfd00d854485308f7608",
+        "level1_channel_08.csv": "95d08fc7b1c73eb817dddfef9add0b70b4667178bb8fa289245244b45b848da1",
+        "level1_channel_09.csv": "3104a38bed6203d30b2d30316d2e69720fbe4b2ac6ce3f6440005cc5716e6111",
+        "level1_channel_10.csv": "7d54f939c68ece3296c5dc1c29950bd24f4fe1576ae75571192253346aaeb2f9",
+        "level1_channel_11.csv": "34e9d5092ed519b8aedd0c33a27a5bfe2a61c167aa625f1982c9664b621b5528",
+        "level1_channel_12.csv": "70ca7d38d767a5582c8fc75f5cbbbc8c11347d2e715da78355f26a667d9ead60",
+        "level1_partition.txt": "c536bdd22bfdf830df30d132561d3bb4e35299dac482ce24cc92e52b33e20a82",
         "level2_a_ext.tsv": "3fdeee10cb2d2c513004126bc816d9db949e22976a007ddee122b7888ac28ea2",
-        "level2_a_int.tsv": "15458510dc05af513e5dab6594e97b6571181111b89ab37f9ad55855c9dd10c4",
-        "level2_channel_01.csv": "cf5a1a4d37ead0fc4b5117e14f446b524b3ee9cbbf51dc37dc841893b1cde05c",
-        "level2_channel_02.csv": "bb18bd8b7e341a3e47b5ad91f74b7fd50620a0da6419df3bd12f50e636e9496a",
-        "level2_channel_03.csv": "9fa6dd267490a02b831f046fd32de950f5b1770bbfe9dbd32f096c79ddb37b78",
-        "level2_channel_04.csv": "9c511cc1802f693a87c2347a4efc235f9d56d34f6ae448abcd154b8e9cc4689b",
-        "level2_channel_05.csv": "459bbe86c1b6697cbd92ae3b3e2814d2d74fbb5005890bffb7b87d28ff2b0921",
+        "level2_a_int.tsv": "133e9a64a6ce3091703e9ab2f87f3740b5640892e815087cf8e84aed260ac509",
+        "level2_channel_01.csv": "60b9b35b0a092e0eb32a4bc9fd478b650b727c521c04f75e286e4be5e0723fe9",
+        "level2_channel_02.csv": "3ea38e95a566120c740dfbb9f611bea69c797ea5d732c8ee8aa070357337ebb0",
+        "level2_channel_03.csv": "ee657172a1dcd65724e4ff0c08306d60436b5403fa3b171980e4f685fa5960cb",
+        "level2_channel_04.csv": "1bb79ea7060c126fc951ea3caf119098830b85adc649958c9b2fcc83aa908796",
+        "level2_channel_05.csv": "ce361e7e880ea6b2c827679f444209212eaa6a9cffea754faba8482e178963d0",
         "level2_partition.txt": "189f5286a1d4efad375b47ac2e01252fd71434df0ab84a6a2210fddcc77fe51a",
         },
         "l2-lc": {
-        "final_approximation.csv": "9095e92c3336d18d17c79602c05f905315ae349347d3dc2d77a5e2255d5a0ce0",
-        "level1_a_ext.tsv": "7be3212f3cbe08f1214fcae2b84064b44984953c9eab3e2ed33819a8897b9ec0",
-        "level1_a_int.tsv": "da6b368f5ed96070c621b7cb7757afed9c120d3af78502a044707f4f8c2faeed",
-        "level1_channel_01.csv": "223028862abc3d50d44c0cf905dab35584a2c72d092a915fee3fb707e0c85b31",
-        "level1_channel_02.csv": "aef86670032d3d35a752ad81ac73bcccb43af40e7d9af8233b566f1bf1e4e2c0",
-        "level1_channel_03.csv": "fd50e23edeab6401302b3738141205390ee9c82821d69696fa6774c9fda07126",
-        "level1_channel_04.csv": "ad9cc957265c9caa2c9a9f30839484bbc91f8abecbc79f76957ea98fad78a76e",
-        "level1_channel_05.csv": "ce6fa1f76175ef38d8f76d34fd306c8884d50fbf9cbb01aa05ac3458119518ee",
-        "level1_channel_06.csv": "45df46c1c10ce1d4e17295b20376990144153a212e755ca2fc5f26f9ddf5d82f",
-        "level1_channel_07.csv": "02b52c283fe74d90d1dffb76a039919b6c5eface8bc5f4aa9df5a4de7f848cc6",
-        "level1_channel_08.csv": "6eb4c0741288731f23f3747f3f2540a7225f7cd1a4afe7b707880a3cb7520d6a",
-        "level1_channel_09.csv": "d5c1df12f69a94f9246991e78510f3073ec940a0edc728edd7b7f85193b70946",
-        "level1_channel_10.csv": "e91263a0a2fa700e9cf5e88d56fcdbd5504ed2feb069d104399bf46683bb89e8",
-        "level1_partition.txt": "0c169b068a3e05a96157e5ab42758c7c37b496e11b85aa38a07a8d3a9b45c4d1",
+        "final_approximation.csv": "00d80dca87fb775a608b87ba3774eae1f38b6ad606f8af2aae0a3b3cf5d9ed96",
+        "level1_a_ext.tsv": "fe62cc8373eb22ae8d5b79fa047e6d0fe9429ef6f662b0dcce502614285ea360",
+        "level1_a_int.tsv": "115958347e2b248d902e9a1630ee54e1dc4d557b02723b3d07a2c544126024e7",
+        "level1_channel_01.csv": "80dd6ddacbe2558d6b379fa717551b709dab67416a3bd577a2554ef52ccfda2a",
+        "level1_channel_02.csv": "a4c89fb6208da3e9a0a84bc036092afb0b75d272307647725b47fba6bc71cca5",
+        "level1_channel_03.csv": "8bedca78d17f017c801dded04d0b203a88bba8f0a2c758c99b5de3017203610c",
+        "level1_channel_04.csv": "b8528dd4c1ac682042f49765078e6826c065b68d85e45285eb5ba2e49358761f",
+        "level1_channel_05.csv": "02e0e415c30a53edc7223eaf5b0bfa7a51b7585a59b95c0f0dfbf2a95fdb7ab2",
+        "level1_channel_06.csv": "187c6b4fa5391fd0c112c232e2cdc36488477be158bbc2122ac1887d1f12ccca",
+        "level1_channel_07.csv": "70695db0716e9a474af18af400f3b36c2bb1f179f8f2b05b7550a8446d4a8db2",
+        "level1_channel_08.csv": "e7a9a17e5a92cd705c49580d8af0ceb9f6d53d9cbb235933fa085cd428387ee7",
+        "level1_channel_09.csv": "49f63d5a6f5313819b82b446da58294979ecb5afbe4667602627160b63c65045",
+        "level1_channel_10.csv": "cf8775c46550a857fc6ae5df4a56c65f1eabc7dc8a6e58e2d341cf3d3e224a06",
+        "level1_channel_11.csv": "16fcc9243315222d75d6ec7733572c0b1bbef9f9dad4832cb6faf7c11b84138e",
+        "level1_channel_12.csv": "80073ba53c5bc7b86b30f01b8cb6b2aa6e63fa7636c5955667f6a2309dc60e19",
+        "level1_partition.txt": "c536bdd22bfdf830df30d132561d3bb4e35299dac482ce24cc92e52b33e20a82",
         "level2_a_ext.tsv": "3fdeee10cb2d2c513004126bc816d9db949e22976a007ddee122b7888ac28ea2",
-        "level2_a_int.tsv": "15458510dc05af513e5dab6594e97b6571181111b89ab37f9ad55855c9dd10c4",
-        "level2_channel_01.csv": "9095e92c3336d18d17c79602c05f905315ae349347d3dc2d77a5e2255d5a0ce0",
-        "level2_channel_02.csv": "0463aae07855f3289262111da3df194a269ec62fdeca03985847108819078500",
-        "level2_channel_03.csv": "6236b43f61d576dd535e655e87a65763ec08f5aa30c346b0e16399232ae04785",
-        "level2_channel_04.csv": "5c2b446598c0b1ec75f71713122c3d08be3f79da6ad1997cb0eb51fbb098fe57",
-        "level2_channel_05.csv": "1ed5c46e3075a2bb9f64244fa993afca8b94210f7d0b7f93c5cac47ba81175e9",
+        "level2_a_int.tsv": "133e9a64a6ce3091703e9ab2f87f3740b5640892e815087cf8e84aed260ac509",
+        "level2_channel_01.csv": "00d80dca87fb775a608b87ba3774eae1f38b6ad606f8af2aae0a3b3cf5d9ed96",
+        "level2_channel_02.csv": "bc0fd1cefdfcc3933cbc375836f4d6421e3ae824abe96e3646b0e41a9329e911",
+        "level2_channel_03.csv": "dc127f2654689ef954d472728124e0f481a7640bbfff992e511908faf85fab98",
+        "level2_channel_04.csv": "44ce9427bd0f24111664145a5bd716a6ac40f42d2a222a7a0e87b836c161cf29",
+        "level2_channel_05.csv": "fc8d410043089513e3026d58d97b589684fdd591d5d4c54d00b3856941d90184",
         "level2_partition.txt": "189f5286a1d4efad375b47ac2e01252fd71434df0ab84a6a2210fddcc77fe51a",
         },
     }
     ATOMS = {
-        "l1-sc": "046bcc873f442cd694b14017279f9f0afebcbf35dac68d0111df7ec0e2a5bfe0",
-        "l2-lc": "9d36bbe67584ba01670ccd94791d53b9ad14e9269ffa8cd3b8357f40b12b6f8f",
+        "l1-sc": "70fd954a49ee3ce2b91c978ba61af278656c0bbf2865efe22d09567cbcd2e63d",
+        "l2-lc": "09298118219c008df08f46f03bffa9352e704d87b540466f21801fa9da8a9c95",
     }
     ATOMS_DENSE = {
-        "l1-sc": "5eaf7554e57b31fb5c7f0fb3ba28d624f7b67de3363875dee073ff7dff7b7a20",
-        "l2-lc": "11fef1ca5fa952dca0d12d9cb0bff0f63ac417ec36d4d913d31ec9fe41d02d05",
+        "l1-sc": "ec710df93a602ae98e099b424a09bbcaaae4053439e710a8d07cffb2ef943c64",
+        "l2-lc": "6a1101fc56a3f52e9322f2ca6f554b6f6b8e544e88c1a7b76e9950145bb0ad17",
     }
 
     @pytest.mark.parametrize("run", sorted(RUNS))
