@@ -164,15 +164,24 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _artifact(base: Path, name) -> Path:
+    """A manifest artifact, named by a bare file name in the manifest's
+    directory; any other name could make `synthesize` read an arbitrary file."""
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise CliError(f"malformed manifest: artifact {name!r} is not a bare file name")
+    return base / name
+
+
 def _rebuild_from_manifest(manifest: dict, base: Path):
     """Per-level operators and detail channels, and the final approximation."""
     try:
         p = manifest["p"]
         zero_based = manifest.get("zero_based_labels", False)
-        entries = [(entry["n"], base / entry["partition"], base / entry["a_int"],
-                    base / entry["a_ext"], [base / name for name in entry["channels"]])
+        entries = [(entry["n"], _artifact(base, entry["partition"]),
+                    _artifact(base, entry["a_int"]), _artifact(base, entry["a_ext"]),
+                    [_artifact(base, name) for name in entry["channels"]])
                    for entry in manifest["levels"]]
-        final_path = base / manifest["final_approximation"]
+        final_path = _artifact(base, manifest["final_approximation"])
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed manifest: missing or invalid field {exc}") from exc
     if p not in (1, 2):

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cosub import SubgraphPartition, WeightedGraph
+
+# CI sets HYPOTHESIS_PROFILE=ci: the same examples on every run and no
+# per-example deadline on shared runners.  Local runs keep the default.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -301,6 +301,31 @@ class TestAnalyzeSynthesize:
         assert self._tamper_and_synthesize(toy_files, tamper) == 2
         assert "level 2 is inconsistent: channel 1 has length 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, name", [
+        ("channels", "{outdir}/level1_channel_02.csv"),  # absolute, and it exists
+        ("channels", "../level1_channel_02.csv"),
+        ("partition", "../level1_partition.txt"),
+        ("a_int", "./level1_a_int.tsv"),
+        ("final_approximation", ".."),
+        ("final_approximation", "..\\final_approximation.csv"),
+    ])
+    def test_artifact_outside_manifest_directory_is_usage_error(
+            self, toy_files, capsys, field, name):
+        def tamper(outdir, manifest):
+            # Valid copies outside the manifest's directory: only the name
+            # may make synthesize refuse them.
+            for artifact in outdir.iterdir():
+                (outdir.parent / artifact.name).write_bytes(artifact.read_bytes())
+            resolved = name.format(outdir=outdir.resolve())
+            if field == "final_approximation":
+                manifest[field] = resolved
+            elif field == "channels":
+                manifest["levels"][0]["channels"][1] = resolved
+            else:
+                manifest["levels"][0][field] = resolved
+        assert self._tamper_and_synthesize(toy_files, tamper) == 2
+        assert "is not a bare file name" in capsys.readouterr().err
+
     def test_analyze_byte_identical_reruns(self, toy_files):
         out1 = toy_files["dir"] / "r1"
         out2 = toy_files["dir"] / "r2"
