@@ -53,6 +53,8 @@ def snr(reference, estimate) -> float:
 
 def compression_ratio(total: int, kept_lp: int, kept_hp: int) -> float:
     """Original coefficient count over retained coefficient count."""
+    if kept_lp < 0 or kept_hp < 0:
+        raise ValueError("kept coefficient counts must be non-negative")
     kept = kept_lp + kept_hp
     if kept <= 0:
         raise ValueError("at least one coefficient must be kept")
@@ -151,8 +153,8 @@ def denoise(graph: WeightedGraph, noisy, sigma: float, levels: int,
     The scheme assumes unit-energy local modes, so p=2 is enforced; passing
     p=1 is honoured but warned about.
     """
-    if sigma < 0.0:
-        raise ValueError("noise level must be non-negative")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError("noise level must be finite and non-negative")
     if p != 2:
         warnings.warn("hard-threshold denoising expects L2-normalized modes (p=2)",
                       stacklevel=2)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid usage or inputs, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -48,8 +49,16 @@ def _load_signal(path, n: int | None = None) -> np.ndarray:
 
 
 def _partition_config(args) -> PartitionConfig:
-    return PartitionConfig(variant=args.impl, tau=args.tau, seed=args.seed,
-                           edge_aware=(args.method == "edaw"))
+    try:
+        return PartitionConfig(variant=args.impl, tau=args.tau, seed=args.seed,
+                               edge_aware=(args.method == "edaw"))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _check_levels(args) -> None:
+    if args.levels < 1:
+        raise CliError("--levels must be at least 1")
 
 
 def _norm_exponent(name: str) -> int:
@@ -125,8 +134,7 @@ def _analysis_artifacts(pyramid, outdir: Path, zero_based: bool):
 
 
 def cmd_analyze(args) -> int:
-    if args.levels < 1:
-        raise CliError("--levels must be at least 1")
+    _check_levels(args)
     graph = _load_graph(args.graph)
     signal = _load_signal(args.signal, graph.n)
     partitions = _detect_partitions(args, graph, signal)
@@ -237,6 +245,7 @@ def _parse_keep_hp(text: str):
 
 
 def cmd_compress(args) -> int:
+    _check_levels(args)
     graph = _load_graph(args.graph)
     signal = _load_signal(args.signal, graph.n)
     partitions = _detect_partitions(args, graph, signal)
@@ -256,11 +265,12 @@ def cmd_compress(args) -> int:
 
 
 def cmd_denoise(args) -> int:
+    _check_levels(args)
+    if not (math.isfinite(args.sigma) and args.sigma >= 0):
+        raise CliError("--sigma must be finite and non-negative")
     graph = _load_graph(args.graph)
     noisy = _load_signal(args.signal, graph.n)
     partitions = _detect_partitions(args, graph, noisy)
-    if args.sigma < 0:
-        raise CliError("--sigma must be non-negative")
     p = _norm_exponent(args.norm)
     cleaned = denoise(graph, noisy, args.sigma, args.levels, partitions, p=p)
     fileio.write_signal(cleaned, args.out)
@@ -269,6 +279,7 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_atoms(args) -> int:
+    _check_levels(args)
     graph = _load_graph(args.graph)
     if args.signal:
         signal = _load_signal(args.signal, graph.n)
@@ -310,7 +321,11 @@ def cmd_metrics(args) -> int:
     print(f"psnr: {psnr(ref, est)}")
     print(f"snr: {snr(ref, est)}")
     if args.kept_lp is not None and args.kept_hp is not None:
-        print(f"ratio: {compression_ratio(len(ref), args.kept_lp, args.kept_hp)}")
+        try:
+            ratio = compression_ratio(len(ref), args.kept_lp, args.kept_hp)
+        except ValueError as exc:
+            raise CliError(f"--kept-lp/--kept-hp: {exc}") from exc
+        print(f"ratio: {ratio}")
     return EXIT_OK
 
 

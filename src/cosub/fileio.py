@@ -21,9 +21,9 @@ MAX_NODES = 10_000_000
 def write_edge_list(graph: WeightedGraph, path) -> None:
     """TSV lines "u<TAB>v<TAB>w" with a leading "# nodes:" header so that
     trailing isolated nodes survive the round trip."""
+    u, v, w = (a.tolist() for a in graph.edge_arrays())
     lines = [f"# nodes: {graph.n}"]
-    for u, v, w in graph.edges():
-        lines.append(f"{u}\t{v}\t{FLOAT_FMT % w}")
+    lines += [f"{a}\t{b}\t{FLOAT_FMT % c}" for a, b, c in zip(u, v, w)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -60,7 +60,7 @@ def read_edge_list(path, n: int | None = None) -> WeightedGraph:
 
 def write_signal(values, path) -> None:
     x = np.asarray(values, dtype=np.float64)
-    Path(path).write_text("\n".join(FLOAT_FMT % v for v in x) + "\n")
+    Path(path).write_text("\n".join(FLOAT_FMT % v for v in x.tolist()) + "\n")
 
 
 def read_signal(path) -> np.ndarray:
@@ -74,7 +74,7 @@ def read_signal(path) -> np.ndarray:
 
 def write_partition(partition: SubgraphPartition, path, zero_based: bool = False) -> None:
     shift = -1 if zero_based else 0
-    Path(path).write_text("\n".join(str(int(c) + shift) for c in partition.labels) + "\n")
+    Path(path).write_text("\n".join(str(c + shift) for c in partition.labels.tolist()) + "\n")
 
 
 def read_partition(path, zero_based: bool = False) -> SubgraphPartition:

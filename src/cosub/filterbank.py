@@ -28,6 +28,9 @@ class LevelOperators:
     2, and so on, and channel l is the slice `offsets[l-1]:offsets[l]`.  Only
     channel 1 (the approximation) is coarsened further: its graph is the
     level's `PyramidLevel.coarse_graph`.
+
+    The sparse channel operators are not stored: `_channel_parts` gathers
+    them from these blocks by index arithmetic when they are asked for.
     """
 
     partition: SubgraphPartition
@@ -49,28 +52,69 @@ class LevelOperators:
     def channel_sizes(self) -> list[int]:
         return np.diff(self.offsets).tolist()
 
+    def _channel_members(self, channels):
+        """Yield `(l, members)` for each channel l in `channels`: the 0-based
+        indices of the subgraphs with at least l nodes, ascending.  They are
+        the |channel l| largest subgraphs, so no channel scans them all."""
+        by_size = np.argsort(-self.partition.sizes, kind="stable")
+        for l in channels:
+            yield l, np.sort(by_size[:self.offsets[l] - self.offsets[l - 1]])
+
     @property
     def index_lists(self) -> list[np.ndarray]:
         """`index_lists[l-1]`: the subgraph labels of channel l, ascending."""
+        return [members + 1 for _, members
+                in self._channel_members(range(1, self.n_channels + 1))]
+
+    def _channel_parts(self, basis_field: str | None, channels):
+        """Yield `(data, indices, counts)` for each channel l in `channels`:
+        column j of channel l holds, on its subgraph's nodes (`counts[j]` of
+        them), the l-th column of that subgraph's `basis_field` matrix, or
+        ones when `basis_field` is None.
+
+        Everything is gathered by index arithmetic: the nodes from the
+        block-order node array, the values from one flat copy of the level's
+        distinct bases, made once per call.  Temporaries are the size of one
+        channel's entries, never of the whole level.
+        """
         sizes = self.partition.sizes
-        return [np.flatnonzero(sizes >= l) + 1 for l in range(1, self.n_channels + 1)]
+        nodes = np.concatenate(self.node_lists)
+        node_start = np.cumsum(sizes) - sizes
+        if basis_field is not None:
+            # Blocks sharing a basis share its source values.
+            distinct = list(dict.fromkeys(self.bases))
+            slot_of = {basis: slot for slot, basis in enumerate(distinct)}
+            slot = np.fromiter(map(slot_of.__getitem__, self.bases), dtype=np.int64,
+                               count=len(self.bases))
+            _, first = np.unique(slot, return_index=True)
+            area = sizes[first] ** 2
+            source = np.concatenate([getattr(basis, basis_field).ravel() for basis in distinct])
+            # Entry (r, l-1) of block k's basis, whose node sits at position
+            # pos = node_start[k] + r of `nodes`, is
+            # source[pos * sizes[k] + value_base[k] + l - 1].
+            value_base = (np.cumsum(area) - area)[slot] - node_start * sizes
+        for l, members in self._channel_members(channels):
+            counts = sizes[members]
+            ends = np.cumsum(counts)
+            pos = np.arange(ends[-1]) + np.repeat(node_start[members] - (ends - counts), counts)
+            if basis_field is None:
+                data = np.ones(len(pos))
+            else:
+                data = source[pos * np.repeat(counts, counts)
+                              + np.repeat(value_base[members] + (l - 1), counts)]
+            yield data, nodes[pos], counts
 
     def _channel_matrix(self, l: int, basis_field: str | None) -> sp.csc_matrix:
-        """Channel l as an n x |channel| CSC matrix: column j holds, on its
-        subgraph's nodes, the l-th column of that subgraph's `basis_field`
-        matrix, or ones when `basis_field` is None."""
+        """Channel l as an n x |channel| CSC matrix (see `_channel_parts`)."""
         if not 1 <= l <= self.n_channels:
             raise ValueError(f"channel {l} out of range")
-        members = np.flatnonzero(self.partition.sizes >= l)
-        nodes = [self.node_lists[k] for k in members]
-        indptr = np.concatenate([[0], np.cumsum([len(v) for v in nodes])])
-        if basis_field is None:
-            data = np.ones(indptr[-1])
-        else:
-            data = np.concatenate([getattr(self.bases[k], basis_field)[:, l - 1]
-                                   for k in members])
-        return sp.csc_matrix((data, np.concatenate(nodes), indptr),
-                             shape=(self.n, len(members)))
+        return _csc(self.n, *next(self._channel_parts(basis_field, [l])))
+
+    def _stacked(self, basis_field: str | None) -> sp.csc_matrix:
+        """Every channel side by side, channel 1 first: an n x n CSC matrix
+        whose columns are in channel order (`order`/`offsets`)."""
+        parts = zip(*self._channel_parts(basis_field, range(1, self.n_channels + 1)))
+        return _csc(self.n, *(np.concatenate(arrays) for arrays in parts))
 
     def analysis_matrix(self, l: int) -> sp.csc_matrix:
         """Channel-l analysis operator: zero-padded l-th local modes as columns."""
@@ -83,6 +127,12 @@ class LevelOperators:
     def grouping_matrix(self, l: int) -> sp.csc_matrix:
         """Node-to-supernode indicator for subgraphs with at least l nodes."""
         return self._channel_matrix(l, None)
+
+
+def _csc(n: int, data: np.ndarray, indices: np.ndarray, counts: np.ndarray) -> sp.csc_matrix:
+    """n-row CSC matrix whose column j stores the next `counts[j]` entries."""
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csc_matrix((data, indices, indptr), shape=(n, len(counts)))
 
 
 def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
@@ -310,21 +360,33 @@ class Atoms:
 
 
 def compute_atoms(pyramid: Pyramid) -> Atoms:
-    """Compose the per-level analysis operators into whole-graph atoms."""
+    """Compose the per-level analysis operators into whole-graph atoms.
+
+    Level 1's atoms are its channel matrices.  At each deeper level the whole
+    analysis operator (columns in channel order) is built once and composed
+    with the previous approximation atoms by one sparse product, which is then
+    split into channels at `offsets`.  scipy computes each product column from
+    that column of the operator alone, so every channel is bit-identical to
+    composing it by a product of its own.
+    """
     approx: list[sp.csc_matrix] = []
     details: list[dict[int, sp.csc_matrix]] = []
     carry: sp.csc_matrix | None = None
     for level in pyramid.levels:
         ops = level.operators
-        level_details = {}
-        for l in range(2, ops.n_channels + 1):
-            theta = ops.analysis_matrix(l)
-            level_details[l] = theta if carry is None else (carry @ theta).tocsc()
-        theta1 = ops.analysis_matrix(1)
-        phi = theta1 if carry is None else (carry @ theta1).tocsc()
-        approx.append(phi)
-        details.append(level_details)
-        carry = phi
+        if carry is None:
+            channels = [_csc(ops.n, *part) for part in
+                        ops._channel_parts("analysis", range(1, ops.n_channels + 1))]
+        else:
+            atoms = carry @ ops._stacked("analysis")
+            cuts = atoms.indptr[ops.offsets]
+            channels = [_csc(atoms.shape[0], atoms.data[lo:hi], atoms.indices[lo:hi],
+                             np.diff(atoms.indptr[a:b + 1]))
+                        for a, b, lo, hi in zip(ops.offsets[:-1], ops.offsets[1:],
+                                                cuts[:-1], cuts[1:])]
+        approx.append(channels[0])
+        details.append(dict(enumerate(channels[1:], start=2)))
+        carry = channels[0]
     return Atoms(approximation=approx, details=details)
 
 
@@ -333,14 +395,12 @@ def compute_atoms(pyramid: Pyramid) -> Atoms:
 
 def stacked_analysis(operators: LevelOperators) -> np.ndarray:
     """Dense [Theta_1 ... Theta_N] matrix (columns grouped by channel)."""
-    return np.hstack([operators.analysis_matrix(l).toarray()
-                      for l in range(1, operators.n_channels + 1)])
+    return operators._stacked("analysis").toarray()
 
 
 def stacked_synthesis(operators: LevelOperators) -> np.ndarray:
     """Dense [Pi_1 ... Pi_N] matrix (columns grouped by channel)."""
-    return np.hstack([operators.synthesis_matrix(l).toarray()
-                      for l in range(1, operators.n_channels + 1)])
+    return operators._stacked("synthesis").toarray()
 
 
 def biorthogonality_residual(operators: LevelOperators) -> float:

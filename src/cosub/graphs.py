@@ -356,27 +356,22 @@ def sbm_graph(block_sizes, p_in: float, p_out: float, seed: int) -> WeightedGrap
             vs.append(iv)
         else:
             # Large sparse regime: draw the edge count, then rejection-sample
-            # distinct cross-block pairs.
+            # distinct cross-block pairs.  A batch accepts, in draw order, the
+            # first occurrence of each valid pair not accepted before.
             count = int(rng.binomial(cross_pairs, p_out))
-            seen: set[int] = set()
-            iu, iv = [], []
-            while len(seen) < count:
-                batch = max(1024, 2 * (count - len(seen)))
+            codes = np.empty(0, dtype=np.int64)
+            while len(codes) < count:
+                batch = max(1024, 2 * (count - len(codes)))
                 a = rng.integers(0, n, size=batch)
                 b = rng.integers(0, n, size=batch)
-                for x, y in zip(a, b):
-                    if x >= y or block_of[x] == block_of[y]:
-                        continue
-                    code = int(x) * n + int(y)
-                    if code in seen:
-                        continue
-                    seen.add(code)
-                    iu.append(int(x))
-                    iv.append(int(y))
-                    if len(seen) == count:
-                        break
-            us.append(np.asarray(iu, dtype=np.int64))
-            vs.append(np.asarray(iv, dtype=np.int64))
+                valid = (a < b) & (block_of[a] != block_of[b])
+                drawn = a[valid] * n + b[valid]
+                _, first = np.unique(drawn, return_index=True)
+                drawn = drawn[np.sort(first)]
+                drawn = drawn[~np.isin(drawn, codes)]
+                codes = np.concatenate([codes, drawn[:count - len(codes)]])
+            us.append(codes // n)
+            vs.append(codes % n)
 
     if us:
         u = np.concatenate(us).astype(np.int64)

@@ -41,6 +41,11 @@ class TestMetrics:
         with pytest.raises(ValueError, match="kept"):
             compression_ratio(10, 0, 0)
 
+    @pytest.mark.parametrize("kept_lp, kept_hp", [(-1, 3), (3, -1)])
+    def test_compression_ratio_negative_count_rejected(self, kept_lp, kept_hp):
+        with pytest.raises(ValueError, match="non-negative"):
+            compression_ratio(10, kept_lp, kept_hp)
+
 
 class TestNlaCompress:
     def toy_pyramid(self, toy_graph, toy_partition, x, p=1, two_levels=False):
@@ -185,6 +190,12 @@ class TestDenoise:
     def test_negative_sigma_rejected(self, toy_graph, toy_partition):
         with pytest.raises(ValueError, match="non-negative"):
             denoise(toy_graph, np.zeros(5), sigma=-1.0, levels=1,
+                    partitions=[toy_partition])
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, toy_graph, toy_partition, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            denoise(toy_graph, np.zeros(5), sigma=sigma, levels=1,
                     partitions=[toy_partition])
 
 

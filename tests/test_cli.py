@@ -82,6 +82,51 @@ class TestFileFormats:
         assert np.array_equal(back.labels, part.labels)
 
 
+    def test_writers_match_the_per_scalar_writers(self, tmp_path):
+        """Formatting from `tolist()` writes the bytes the writers wrote when
+        they formatted numpy scalars one by one."""
+        tiny = 5e-324
+        weights = [tiny, 2.5e-310, 1e300, 1 / 3, 0.1, 1.0, 7.0, 2.0 ** 53 + 2]
+        n = 1_000_003
+        u = [0, 1, 2, 999_999, 5, 6, 1_000_000, 123_456_789 % n]
+        v = [1, 2, 1_000_002, 1_000_001, 7, 8, 1_000_002, 999_998]
+        graph = WeightedGraph.from_edges(n, list(zip(u, v, weights)))
+        signal = np.array([-0.0, 0.0, tiny, -tiny, 2.5e-310, 1e300, -1e300, 1 / 3,
+                           np.nan, np.inf, -np.inf, 123456789.0])
+        labels = np.random.default_rng(3).permutation(70_000) + 1
+        partition = SubgraphPartition.from_labels(labels)
+        cases = [(fileio.write_edge_list, old_write_edge_list, (graph,)),
+                 (fileio.write_signal, old_write_signal, (signal,)),
+                 (fileio.write_signal, old_write_signal, ([1, -2, 3],)),
+                 (fileio.write_partition, old_write_partition, (partition,)),
+                 (fileio.write_partition, old_write_partition, (partition, True))]
+        for k, (new, old, args) in enumerate(cases):
+            new(*args[:1], tmp_path / f"new{k}", *args[1:])
+            old(*args[:1], tmp_path / f"old{k}", *args[1:])
+            assert (tmp_path / f"new{k}").read_bytes() == (tmp_path / f"old{k}").read_bytes()
+        assert "-0\n" in (tmp_path / "new1").read_text()
+
+
+# The text writers as they were when they formatted numpy scalars one by one.
+
+
+def old_write_edge_list(graph, path):
+    lines = [f"# nodes: {graph.n}"]
+    for u, v, w in graph.edges():
+        lines.append(f"{u}\t{v}\t{fileio.FLOAT_FMT % w}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def old_write_signal(values, path):
+    x = np.asarray(values, dtype=np.float64)
+    path.write_text("\n".join(fileio.FLOAT_FMT % v for v in x) + "\n")
+
+
+def old_write_partition(partition, path, zero_based=False):
+    shift = -1 if zero_based else 0
+    path.write_text("\n".join(str(int(c) + shift) for c in partition.labels) + "\n")
+
+
 class TestPartitionCommand:
     def test_detects_toy_partition(self, toy_files, capsys):
         out = toy_files["dir"] / "part.txt"
@@ -339,6 +384,53 @@ class TestAnalyzeSynthesize:
             if name == "manifest.json":
                 continue  # manifest echoes --outdir, everything else matches
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestArgumentsRejectedAtEntry:
+    """Invalid arguments are usage errors (exit 2), caught before any work."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("compress", ["--keep-hp", "1"]),
+        ("denoise", ["--sigma", "0.1"]),
+        ("atoms", []),
+    ])
+    def test_levels_zero(self, toy_files, capsys, command, extra):
+        out = toy_files["dir"] / "out.csv"
+        code = main([command, "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]), "--levels", "0",
+                     *extra, "--out", str(out)])
+        assert code == 2
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["partition", "analyze"])
+    def test_lc_tau_below_two(self, toy_files, capsys, command):
+        args = ["--graph", str(toy_files["graph"]), "--signal", str(toy_files["signal"]),
+                "--method", "cosub", "--impl", "lc", "--tau", "1"]
+        if command == "partition":
+            args += ["--out", str(toy_files["dir"] / "p.txt")]
+        else:
+            args += ["--levels", "1", "--outdir", str(toy_files["dir"] / "r")]
+        assert main([command, *args]) == 2
+        assert "tau" in capsys.readouterr().err
+
+    def test_metrics_nothing_kept(self, toy_files, capsys):
+        code = main(["metrics", "--reference", str(toy_files["signal"]),
+                     "--estimate", str(toy_files["signal"]),
+                     "--kept-lp", "0", "--kept-hp", "0"])
+        assert code == 2
+        assert "kept" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_denoise_non_finite_sigma(self, toy_files, capsys, sigma):
+        out = toy_files["dir"] / "drec.csv"
+        code = main(["denoise", "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]),
+                     "--partition", str(toy_files["p1"]),
+                     "--levels", "1", "--sigma", sigma, "--out", str(out)])
+        assert code == 2
+        assert "--sigma" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOtherCommands:

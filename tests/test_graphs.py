@@ -253,6 +253,23 @@ class TestGenerators:
         cross = np.sum(labels[u] != labels[v])
         assert 0 < cross < 6000
 
+    @pytest.mark.parametrize("sizes", [[50] * 60, [20] * 110 + [7], [300] * 8],
+                             ids=["60x50", "110x20+7", "8x300"])
+    def test_sbm_large_sparse_regime_matches_the_candidate_loop(self, sizes):
+        """The batch-vectorized rejection sampling accepts exactly the pairs
+        of the per-candidate loop, so graphs stay identical per seed."""
+        stats = {"batches": [], "mid_batch": 0}
+        for p_out in (1e-6, 5e-4, 4e-3):
+            for seed in range(6):
+                got = sbm_graph(sizes, 0.3, p_out, seed)
+                want = oracle_sbm_graph(sizes, 0.3, p_out, seed, stats)
+                assert got.n == want.n
+                for a, b in zip(got.edge_arrays(), want.edge_arrays()):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+        # The cases cover a count reached inside a batch and several batches.
+        assert stats["mid_batch"] > 0
+        assert max(stats["batches"]) > 1
+
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(ValueError):
             line_graph(0)
@@ -262,3 +279,57 @@ class TestGenerators:
             sbm_graph([5, 0], 0.5, 0.1, 1)
         with pytest.raises(ValueError):
             sbm_graph([5, 5], 0.2, 0.5, 1)
+
+
+def oracle_sbm_graph(block_sizes, p_in, p_out, seed, stats):
+    """`sbm_graph` with its per-candidate rejection loop, frozen; `stats`
+    records the batches drawn per call and how often the edge count was
+    reached inside a batch."""
+    sizes = [int(s) for s in block_sizes]
+    rng = np.random.default_rng(seed)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(offsets[-1])
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
+
+    us, vs = [], []
+    for b, s in enumerate(sizes):
+        if s < 2 or p_in == 0.0:
+            continue
+        iu, iv = np.triu_indices(s, k=1)
+        if p_in < 1.0:
+            mask = rng.random(len(iu)) < p_in
+            iu, iv = iu[mask], iv[mask]
+        us.append(iu + offsets[b])
+        vs.append(iv + offsets[b])
+
+    cross_pairs = (n * (n - 1)) // 2 - sum(s * (s - 1) // 2 for s in sizes)
+    assert cross_pairs > 2_000_000 and 0.0 < p_out < 1.0
+    count = int(rng.binomial(cross_pairs, p_out))
+    seen: set[int] = set()
+    iu, iv = [], []
+    batches = 0
+    while len(seen) < count:
+        batches += 1
+        batch = max(1024, 2 * (count - len(seen)))
+        a = rng.integers(0, n, size=batch)
+        b = rng.integers(0, n, size=batch)
+        for x, y in zip(a, b):
+            if x >= y or block_of[x] == block_of[y]:
+                continue
+            code = int(x) * n + int(y)
+            if code in seen:
+                continue
+            seen.add(code)
+            iu.append(int(x))
+            iv.append(int(y))
+            if len(seen) == count:
+                stats["mid_batch"] += 1
+                break
+    stats["batches"].append(batches)
+    us.append(np.asarray(iu, dtype=np.int64))
+    vs.append(np.asarray(iv, dtype=np.int64))
+
+    u = np.concatenate(us).astype(np.int64)
+    v = np.concatenate(vs).astype(np.int64)
+    order = np.argsort(u * n + v, kind="stable")
+    return WeightedGraph(n, u[order], v[order], np.ones(len(u)))

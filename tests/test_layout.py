@@ -12,10 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cosub import (PartitionConfig, Pyramid, SubgraphPartition, WeightedGraph,
-                   analyze_cascade, as_signal, build_operators, coarsen, denoise,
-                   grid_graph, louvain, nla_compress, sbm_graph, synthesize_cascade,
-                   synthesize_level)
+                   analyze_cascade, as_signal, build_operators, coarsen, compute_atoms,
+                   denoise, grid_graph, louvain, nla_compress, sbm_graph,
+                   synthesize_cascade, synthesize_level)
 
+import atoms_oracle
 from conftest import random_connected_partition
 
 
@@ -241,6 +242,13 @@ def assert_same_csc(got, want):
     assert np.array_equal(got.indptr, want.indptr)
 
 
+def assert_identical_csc(got, want):
+    """Bit-identical stored arrays, index dtypes included."""
+    assert_same_csc(got, want)
+    assert got.indices.dtype == want.indices.dtype
+    assert got.indptr.dtype == want.indptr.dtype
+
+
 def assert_same_pyramid(got, want):
     assert len(got.levels) == len(want.levels)
     for a, b in zip(got.levels, want.levels):
@@ -276,6 +284,29 @@ class TestLayoutMatchesOracle:
                 assert_same_csc(ops.grouping_matrix(l), oracle_grouping_matrix(ops, l))
             current, signal = level.coarse_graph, level.channels[0]
         assert np.array_equal(synthesize_cascade(pyramid), oracle_synthesize_cascade(pyramid))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_atoms_and_channel_operators_match_frozen_oracle(self, source, data):
+        graph, partitions, x, p, _ = data.draw(cases(source))
+        pyramid = analyze_cascade(graph, x, partitions, p=p, max_levels=3)
+        for level in pyramid.levels:
+            ops = level.operators
+            for l in range(1, ops.n_channels + 1):
+                assert_identical_csc(ops.analysis_matrix(l),
+                                     atoms_oracle._channel_matrix(ops, l, "analysis"))
+                assert_identical_csc(ops.synthesis_matrix(l),
+                                     atoms_oracle._channel_matrix(ops, l, "synthesis"))
+                assert_identical_csc(ops.grouping_matrix(l),
+                                     atoms_oracle._channel_matrix(ops, l, None))
+        got, want = compute_atoms(pyramid), atoms_oracle.compute_atoms(pyramid)
+        assert len(got.approximation) == len(want.approximation) == pyramid.num_levels
+        for a, b in zip(got.approximation, want.approximation):
+            assert_identical_csc(a, b)
+        for a, b in zip(got.details, want.details):
+            assert list(a) == list(b)
+            for l in a:
+                assert_identical_csc(a[l], b[l])
 
     @pytest.mark.filterwarnings("ignore:hard-threshold denoising expects")
     @settings(max_examples=25, deadline=None)
