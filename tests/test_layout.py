@@ -1,7 +1,8 @@
 """The per-level coefficient layout (subgraph blocks plus one channel
 permutation) against a frozen copy of the per-coefficient implementation it
 replaced: channels, reconstructions, per-channel CSC operators, NLA and
-denoising must agree bit for bit."""
+denoising must agree bit for bit.  Atoms and channel operators are also held
+to the per-channel code in `atoms_oracle`."""
 
 from dataclasses import replace
 
