@@ -91,13 +91,23 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _detect_partitions(args, graph, signal):
-    if args.partition:
-        fixed = [_read("partition", fileio.read_partition, path,
-                       zero_based=args.zero_based_labels) for path in args.partition]
-        _check_partition(graph, fixed[0], "first partition file")
-        return fixed
-    return _partition_config(args)
+def _detect_partitions(args):
+    """The detection settings, or a supply of the fixed partition files: all
+    are read up front, and each is checked against the graph of the level
+    that applies it."""
+    if not args.partition:
+        return _partition_config(args)
+    fixed = iter([(path, _read("partition", fileio.read_partition, path,
+                               zero_based=args.zero_based_labels))
+                  for path in args.partition])
+
+    def supply(graph, signal):
+        path, partition = next(fixed, (None, None))
+        if partition is not None:
+            _check_partition(graph, partition, f"partition file {path}")
+        return partition
+
+    return supply
 
 
 def _check_partition(graph, partition, what: str) -> None:
@@ -137,11 +147,11 @@ def cmd_analyze(args) -> int:
     _check_levels(args)
     graph = _load_graph(args.graph)
     signal = _load_signal(args.signal, graph.n)
-    partitions = _detect_partitions(args, graph, signal)
+    partitions = _detect_partitions(args)
     p = _norm_exponent(args.norm)
+    pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
     level_entries, final_name = _analysis_artifacts(pyramid, outdir, args.zero_based_labels)
     manifest = {
         "format_version": MANIFEST_VERSION,
@@ -192,10 +202,12 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
         final_path = _artifact(base, manifest["final_approximation"])
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed manifest: missing or invalid field {exc}") from exc
-    if p not in (1, 2):
+    if type(p) is not int or p not in (1, 2):
         raise CliError(f"malformed manifest: p must be 1 or 2, got {p!r}")
     levels = []
     for n, part_path, a_int_path, a_ext_path, chan_paths in entries:
+        if type(n) is not int or n < 1:
+            raise CliError(f"malformed manifest: level n must be a positive integer, got {n!r}")
         for path in [part_path, a_int_path, a_ext_path, *chan_paths]:
             if not path.exists():
                 raise CliError(f"manifest artifact missing: {path}")
@@ -248,7 +260,7 @@ def cmd_compress(args) -> int:
     _check_levels(args)
     graph = _load_graph(args.graph)
     signal = _load_signal(args.signal, graph.n)
-    partitions = _detect_partitions(args, graph, signal)
+    partitions = _detect_partitions(args)
     p = _norm_exponent(args.norm)
     keep = _parse_keep_hp(args.keep_hp)
     pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
@@ -270,7 +282,7 @@ def cmd_denoise(args) -> int:
         raise CliError("--sigma must be finite and non-negative")
     graph = _load_graph(args.graph)
     noisy = _load_signal(args.signal, graph.n)
-    partitions = _detect_partitions(args, graph, noisy)
+    partitions = _detect_partitions(args)
     p = _norm_exponent(args.norm)
     cleaned = denoise(graph, noisy, args.sigma, args.levels, partitions, p=p)
     fileio.write_signal(cleaned, args.out)
@@ -287,7 +299,7 @@ def cmd_atoms(args) -> int:
         if args.method == "edaw":
             raise CliError("--method edaw requires --signal")
         signal = np.zeros(graph.n)
-    partitions = _detect_partitions(args, graph, signal)
+    partitions = _detect_partitions(args)
     p = _norm_exponent(args.norm)
     pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
     atoms = compute_atoms(pyramid)
@@ -306,7 +318,7 @@ def cmd_atoms(args) -> int:
                 for node, value in zip(mat.indices[span], mat.data[span] + 0.0):
                     lines.append(f"{j},{l},{label},{node},{fileio.FLOAT_FMT % value}")
     Path(args.out).write_text("\n".join(lines) + "\n")
-    total = sum(mat.shape[1] for lvl in atoms.details for mat in lvl.values())
+    total = atoms.total_detail_atoms
     if atoms.approximation:
         total += atoms.approximation[-1].shape[1]
     print(f"atoms written: {total} (graph size {pyramid.n})")

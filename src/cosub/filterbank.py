@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
-                     partition_is_connected, split_adjacency)
+                     connected_components, split_adjacency)
 from .partition import PartitionConfig, edge_aware_adjacency, louvain
 from .spectral import local_eigenbases
 
@@ -25,9 +25,11 @@ class LevelOperators:
     local coefficients (all modes of subgraph 1, then of subgraph 2, ...)
     gives the block order; `order` is the stable argsort of each coefficient's
     mode index in block order, so `flat[order]` lists channel 1, then channel
-    2, and so on, and channel l is the slice `offsets[l-1]:offsets[l]`.  Only
-    channel 1 (the approximation) is coarsened further: its graph is the
-    level's `PyramidLevel.coarse_graph`.
+    2, and so on, and channel l is the slice `offsets[l-1]:offsets[l]`.
+
+    `a_int` and `a_ext` are the level's graph split once into its intra- and
+    inter-subgraph edges: the first gave the local Laplacians, the second
+    coarsens channel 1 (the approximation) into the next level's graph.
 
     The sparse channel operators are not stored: `_channel_parts` gathers
     them from these blocks by index arithmetic when they are asked for.
@@ -38,7 +40,8 @@ class LevelOperators:
     bases: list
     order: np.ndarray
     offsets: np.ndarray
-    p: int
+    a_int: WeightedGraph
+    a_ext: WeightedGraph
 
     @property
     def n(self) -> int:
@@ -137,10 +140,10 @@ def _csc(n: int, data: np.ndarray, indices: np.ndarray, counts: np.ndarray) -> s
 
 def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
                     p: int) -> LevelOperators:
-    """Assemble the level operators from per-subgraph Laplacian eigenbases."""
-    if partition.n != graph.n:
-        raise ValueError("partition length does not match graph size")
-    if not partition_is_connected(graph, partition):
+    """Assemble the level operators from per-subgraph Laplacian eigenbases;
+    the level's one `split_adjacency` gives their `a_int` and `a_ext`."""
+    a_int, a_ext = split_adjacency(graph, partition)
+    if connected_components(a_int).n_subgraphs != partition.n_subgraphs:
         raise ValueError("every subgraph of the partition must be connected")
     node_lists = partition.node_lists()
     sizes = partition.sizes
@@ -151,11 +154,8 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     local_rank[np.concatenate(node_lists)] = mode
     # One grouped pass over the intra-subgraph edges keeps the whole
     # extraction linear in the graph size.
-    labels = partition.labels
-    u, v, w = graph.edge_arrays()
-    same = labels[u] == labels[v]
-    bu, bv, bw = u[same], v[same], w[same]
-    block = labels[bu] - 1
+    bu, bv, bw = a_int.edge_arrays()
+    block = partition.labels[bu] - 1
     order = np.argsort(block, kind="stable")
     bounds = np.searchsorted(block[order], np.arange(partition.n_subgraphs + 1))
     laplacians = []
@@ -172,7 +172,8 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     bases = local_eigenbases(laplacians, p)
     return LevelOperators(partition=partition, node_lists=node_lists, bases=bases,
                           order=np.argsort(mode, kind="stable"),
-                          offsets=np.concatenate([[0], np.cumsum(np.bincount(mode))]), p=p)
+                          offsets=np.concatenate([[0], np.cumsum(np.bincount(mode))]),
+                          a_int=a_int, a_ext=a_ext)
 
 
 def analyze_level(signal, graph: WeightedGraph, operators: LevelOperators,
@@ -213,30 +214,32 @@ def synthesize_level(channels: list[np.ndarray], operators: LevelOperators) -> n
 
 @dataclass(frozen=True, eq=False)
 class PyramidLevel:
-    """One analysis level: its partition, operators, channels and structure.
+    """One analysis level: its operators, channels and coarse graph.
 
-    The level's input graph is stored split as a_int + a_ext; coarse_graph,
-    the approximation channel's graph, is the next level's input graph.
+    `partition`, `a_int`, `a_ext` and `n` read through to the operators;
+    coarse_graph, the approximation channel's graph, is the next level's
+    input graph.
     """
 
-    partition: SubgraphPartition
     operators: LevelOperators
     channels: list
-    a_int: WeightedGraph
-    a_ext: WeightedGraph
     coarse_graph: WeightedGraph
+
+    @property
+    def partition(self) -> SubgraphPartition:
+        return self.operators.partition
+
+    @property
+    def a_int(self) -> WeightedGraph:
+        return self.operators.a_int
+
+    @property
+    def a_ext(self) -> WeightedGraph:
+        return self.operators.a_ext
 
     @property
     def n(self) -> int:
         return self.operators.n
-
-    @property
-    def n_channels(self) -> int:
-        return self.operators.n_channels
-
-    @property
-    def approximation(self) -> np.ndarray:
-        return self.channels[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,17 +283,8 @@ def _as_partitioner(partitions):
         return detect
     if callable(partitions):
         return partitions
-    fixed = list(partitions)
-    state = {"next": 0}
-
-    def supply(graph: WeightedGraph, signal: np.ndarray):
-        if state["next"] >= len(fixed):
-            return None
-        part = fixed[state["next"]]
-        state["next"] += 1
-        return part
-
-    return supply
+    fixed = iter(partitions)
+    return lambda graph, signal: next(fixed, None)
 
 
 def analyze_cascade(graph: WeightedGraph, signal, partitions, p: int = 1,
@@ -321,11 +315,9 @@ def analyze_cascade(graph: WeightedGraph, signal, partitions, p: int = 1,
             break
         if part.n_subgraphs == current.n:
             break
-        a_int, a_ext = split_adjacency(current, part)
         ops = build_operators(current, part, p)
-        channels, coarse = analyze_level(x, current, ops, a_ext)
-        levels.append(PyramidLevel(partition=part, operators=ops, channels=channels,
-                                   a_int=a_int, a_ext=a_ext, coarse_graph=coarse))
+        channels, coarse = analyze_level(x, current, ops, ops.a_ext)
+        levels.append(PyramidLevel(operators=ops, channels=channels, coarse_graph=coarse))
         current = coarse
         x = channels[0]
     return Pyramid(levels=levels, final_approximation=x.copy(), p=p, n=graph.n)

@@ -13,11 +13,12 @@ class WeightedGraph:
     """Undirected weighted graph over nodes 0..n-1.
 
     Edges carry strictly positive weights, self-loops are rejected and each
-    unordered pair is stored once.  The adjacency matrix is kept as a
-    symmetric sparse matrix and must not be mutated after construction.
+    unordered pair is stored once, as the parallel arrays of `edge_arrays`;
+    they must not be mutated after construction.  Nothing else is stored:
+    `adjacency` builds a new symmetric sparse matrix on every call.
     """
 
-    __slots__ = ("n", "_adj", "_u", "_v", "_w")
+    __slots__ = ("n", "_u", "_v", "_w")
 
     def __init__(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
         # Canonical internal constructor: parallel arrays with u < v, one
@@ -26,10 +27,6 @@ class WeightedGraph:
         self._u = u
         self._v = v
         self._w = w
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        data = np.concatenate([w, w])
-        self._adj = sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     # -- construction -----------------------------------------------------
 
@@ -98,8 +95,10 @@ class WeightedGraph:
 
     @property
     def adjacency(self) -> sp.csr_matrix:
-        """Symmetric sparse adjacency (read-only by convention)."""
-        return self._adj
+        """Symmetric sparse adjacency, built anew on each call."""
+        u, v, w = self._u, self._v, self._w
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        return sp.csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(self.n, self.n))
 
     @property
     def num_edges(self) -> int:
@@ -107,7 +106,7 @@ class WeightedGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.asarray(self._adj.sum(axis=1)).ravel()
+        return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
     @property
     def total_weight(self) -> float:
@@ -128,11 +127,10 @@ class WeightedGraph:
         pos = -np.ones(self.n, dtype=np.int64)
         pos[nodes] = np.arange(len(nodes))
         mask = (pos[self._u] >= 0) & (pos[self._v] >= 0)
-        return WeightedGraph(len(nodes), pos[self._u[mask]], pos[self._v[mask]],
-                             self._w[mask].copy())
+        return WeightedGraph(len(nodes), pos[self._u[mask]], pos[self._v[mask]], self._w[mask])
 
     def dense_adjacency(self) -> np.ndarray:
-        return self._adj.toarray()
+        return self.adjacency.toarray()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WeightedGraph(n={self.n}, edges={self.num_edges})"
@@ -213,8 +211,8 @@ def split_adjacency(graph: WeightedGraph,
         raise ValueError("partition length does not match graph size")
     u, v, w = graph.edge_arrays()
     same = partition.labels[u] == partition.labels[v]
-    a_int = WeightedGraph(graph.n, u[same], v[same], w[same].copy())
-    a_ext = WeightedGraph(graph.n, u[~same], v[~same], w[~same].copy())
+    a_int = WeightedGraph(graph.n, u[same], v[same], w[same])
+    a_ext = WeightedGraph(graph.n, u[~same], v[~same], w[~same])
     return a_int, a_ext
 
 
@@ -234,11 +232,8 @@ def connected_components(graph: WeightedGraph) -> SubgraphPartition:
 
 def partition_is_connected(graph: WeightedGraph, partition: SubgraphPartition) -> bool:
     """True when every label class induces a connected subgraph."""
-    if partition.n != graph.n:
-        raise ValueError("partition length does not match graph size")
     a_int, _ = split_adjacency(graph, partition)
-    comp = connected_components(a_int)
-    return comp.n_subgraphs == partition.n_subgraphs
+    return connected_components(a_int).n_subgraphs == partition.n_subgraphs
 
 
 def coarsen(graph: WeightedGraph, partition: SubgraphPartition) -> WeightedGraph:

@@ -79,7 +79,7 @@ def edge_aware_adjacency(graph: WeightedGraph, signal) -> WeightedGraph:
         weights = np.ones(len(u))
     else:
         weights = np.exp(-np.square(diffs) / (2.0 * sigma * sigma))
-    return WeightedGraph(graph.n, u.copy(), v.copy(), weights)
+    return WeightedGraph(graph.n, u, v, weights)
 
 
 class _WorkingGraph:
@@ -99,7 +99,7 @@ class _WorkingGraph:
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph) -> "_WorkingGraph":
-        return cls(graph.adjacency.copy(), np.zeros(graph.n), np.arange(graph.n))
+        return cls(graph.adjacency, np.zeros(graph.n), np.arange(graph.n))
 
 
 def _local_moves(work: _WorkingGraph, rng: np.random.Generator) -> tuple[np.ndarray, bool]:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph, analyze_cascade,
-                   best_level_nla, fileio, nla_compress, sbm_graph, synthesize_cascade)
+                   best_level_nla, fileio, haar_partition, line_graph, nla_compress,
+                   sbm_graph, synthesize_cascade)
 from cosub.cli import main
 
 
@@ -261,7 +262,7 @@ class TestAnalyzeSynthesize:
         assert code == 2
         assert "disconnected" in capsys.readouterr().err
 
-    def test_second_level_size_mismatch_is_numeric_failure(self, toy_files, tmp_path):
+    def test_second_level_size_mismatch_is_usage_error(self, toy_files, tmp_path, capsys):
         bad2 = tmp_path / "bad2.txt"
         bad2.write_text("1\n1\n1\n")  # level-2 graph has 2 nodes, not 3
         code = main(["analyze", "--graph", str(toy_files["graph"]),
@@ -269,7 +270,29 @@ class TestAnalyzeSynthesize:
                      "--partition", str(toy_files["p1"]),
                      "--partition", str(bad2), "--levels", "2",
                      "--outdir", str(tmp_path / "r")])
-        assert code == 3
+        assert code == 2
+        assert f"{bad2} has 3 labels, graph has 2 nodes" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "atoms"])
+    def test_disconnected_second_partition_file_is_usage_error(
+            self, tmp_path, capsys, command):
+        # Haar pairs on a 12-node line, then a level-2 partition that joins
+        # supernodes 0, 2 and 4 of the 6-node coarse line: not connected.
+        graph, signal = tmp_path / "line.tsv", tmp_path / "x.csv"
+        h1, h2 = tmp_path / "h1.txt", tmp_path / "h2.txt"
+        fileio.write_edge_list(line_graph(12), graph)
+        fileio.write_signal(np.arange(12.0), signal)
+        fileio.write_partition(haar_partition(12), h1)
+        h2.write_text("1\n2\n1\n2\n1\n2\n")
+        out = tmp_path / "out"
+        extra = (["--signal", str(signal), "--outdir", str(out)] if command == "analyze"
+                 else ["--out", str(out)])
+        code = main([command, "--graph", str(graph), "--levels", "2",
+                     "--partition", str(h1), "--partition", str(h2), *extra])
+        assert code == 2
+        assert f"partition file {h2} has a disconnected subgraph" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_final_approximation_is_usage_error(self, toy_files, capsys):
         outdir = toy_files["dir"] / "run"
@@ -333,6 +356,20 @@ class TestAnalyzeSynthesize:
             (outdir / "level1_channel_02.csv").write_text("1.0\n")
         assert self._tamper_and_synthesize(toy_files, tamper) == 2
         assert "channel 2 has length 1, expected 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["5", 5.5, None, True, 0],
+                             ids=["str", "float", "null", "bool", "zero"])
+    def test_invalid_level_size_is_usage_error(self, toy_files, capsys, n):
+        def tamper(outdir, manifest):
+            manifest["levels"][0]["n"] = n
+        assert self._tamper_and_synthesize(toy_files, tamper) == 2
+        assert f"level n must be a positive integer, got {n!r}" in capsys.readouterr().err
+
+    def test_bool_norm_exponent_is_usage_error(self, toy_files, capsys):
+        def tamper(outdir, manifest):
+            manifest["p"] = True
+        assert self._tamper_and_synthesize(toy_files, tamper) == 2
+        assert "p must be 1 or 2, got True" in capsys.readouterr().err
 
     def test_unknown_norm_exponent_is_usage_error(self, toy_files, capsys):
         def tamper(outdir, manifest):

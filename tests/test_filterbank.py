@@ -169,6 +169,35 @@ class TestCascade:
             second.a_int.dense_adjacency() + second.a_ext.dense_adjacency())
         assert graphs_equal(first.coarse_graph, rebuilt_input)
 
+    def test_one_edge_split_per_level(self, monkeypatch):
+        # Both module bindings are wrapped, so a split made through either
+        # (the cascade, build_operators, partition_is_connected) is counted.
+        import cosub.filterbank
+        import cosub.graphs
+
+        calls = []
+        for module in (cosub.graphs, cosub.filterbank):
+            def counted(graph, partition, _split=module.split_adjacency):
+                calls.append(graph.n)
+                return _split(graph, partition)
+            monkeypatch.setattr(module, "split_adjacency", counted)
+        g = sbm_graph([30, 30, 30], 0.3, 0.02, 5)
+        pyramid = analyze_cascade(g, np.ones(g.n), PartitionConfig("sc", seed=3), p=1,
+                                  max_levels=3)
+        assert pyramid.num_levels >= 2
+        assert calls == [level.n for level in pyramid.levels]
+
+    def test_level_reads_its_structure_from_the_operators(self, toy_graph, toy_partition):
+        pyramid = analyze_cascade(toy_graph, np.arange(5.0),
+                                  [toy_partition, TOY_SECOND_LEVEL], p=1)
+        for level, partition in zip(pyramid.levels, [toy_partition, TOY_SECOND_LEVEL]):
+            assert level.partition is level.operators.partition is partition
+            assert level.a_int is level.operators.a_int
+            assert level.a_ext is level.operators.a_ext
+        a_int, a_ext = split_adjacency(toy_graph, toy_partition)
+        assert graphs_equal(pyramid.levels[0].a_int, a_int)
+        assert graphs_equal(pyramid.levels[0].a_ext, a_ext)
+
     def test_structural_shape_14_nodes(self):
         # Five connected groups of sizes (4,3,3,2,2) chained by bridges.
         edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9),

@@ -45,6 +45,15 @@ class TestWeightedGraph:
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0.0)
 
+    def test_adjacency_is_built_per_call(self, toy_graph):
+        # The edge arrays are the only stored copy of the edges: writing into
+        # one adjacency matrix changes neither them nor the next matrix.
+        before = toy_graph.dense_adjacency()
+        edges = [a.copy() for a in toy_graph.edge_arrays()]
+        toy_graph.adjacency.data[:] = 7.0
+        assert np.array_equal(toy_graph.adjacency.toarray(), before)
+        assert all(np.array_equal(a, b) for a, b in zip(toy_graph.edge_arrays(), edges))
+
     def test_from_adjacency_round_trip(self, toy_graph):
         rebuilt = WeightedGraph.from_adjacency(toy_graph.dense_adjacency())
         assert graphs_equal(toy_graph, rebuilt)
