@@ -214,8 +214,11 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
         partition = _read("manifest artifact", fileio.read_partition, part_path,
                           zero_based=zero_based)
         a_int = _read("manifest artifact", fileio.read_edge_list, a_int_path, n=n)
-        _check_partition(a_int, partition, f"manifest artifact {part_path}")
-        operators = build_operators(a_int, partition, p)
+        try:
+            operators = build_operators(a_int, partition, p)
+        except ValueError:  # a partition that does not fit its graph is named (exit 2)
+            _check_partition(a_int, partition, f"manifest artifact {part_path}")
+            raise
         details = [_read("manifest artifact", fileio.read_signal, path)
                    for path in chan_paths[1:]]
         levels.append((operators, details))

@@ -16,13 +16,13 @@ class WeightedGraph:
     unordered pair is stored once, as the parallel arrays of `edge_arrays`;
     they must not be mutated after construction.  Nothing else is stored:
     `adjacency` builds a new symmetric sparse matrix on every call.
+    `_checked` enforces this on all input; derived graphs use the raw `__init__`.
     """
 
     __slots__ = ("n", "_u", "_v", "_w")
 
     def __init__(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
-        # Canonical internal constructor: parallel arrays with u < v, one
-        # entry per unordered edge, already validated by the classmethods.
+        # Raw constructor, unchecked: int64 u < v sorted by (u, v), float64 w.
         self.n = int(n)
         self._u = u
         self._v = v
@@ -33,35 +33,12 @@ class WeightedGraph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
         """Build from an iterable of (u, v) or (u, v, weight) tuples."""
-        if n < 1:
-            raise ValueError("graph needs at least one node")
-        us, vs, ws = [], [], []
-        for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                w = 1.0
-            else:
-                u, v, w = edge
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if not 0.0 < w < np.inf:
-                raise ValueError(f"weight {w} on edge ({u},{v}) is not positive and finite")
-            if u > v:
-                u, v = v, u
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-        u = np.asarray(us, dtype=np.int64)
-        v = np.asarray(vs, dtype=np.int64)
-        w = np.asarray(ws, dtype=np.float64)
-        key = u * n + v
-        if len(np.unique(key)) != len(key):
-            raise ValueError("duplicate edges in input")
-        order = np.argsort(key, kind="stable")
-        return cls(n, u[order], v[order], w[order])
+        edges = list(edges)
+        malformed = [e for e in edges if len(e) not in (2, 3)]
+        if malformed:
+            raise ValueError(f"edge {tuple(malformed[0])} is not (u, v) or (u, v, weight)")
+        return cls._checked(n, [e[0] for e in edges], [e[1] for e in edges],
+                            [e[2] if len(e) == 3 else 1.0 for e in edges])
 
     @classmethod
     def from_adjacency(cls, matrix) -> "WeightedGraph":
@@ -75,21 +52,40 @@ class WeightedGraph:
         asym = abs(a - a.T)
         if asym.nnz and asym.max() > 1e-12 * scale:
             raise ValueError("adjacency matrix must be symmetric")
-        mask = a.row < a.col
-        u, v, w = a.row[mask], a.col[mask], a.data[mask]
-        keep = w != 0.0
-        u, v, w = u[keep], v[keep], w[keep]
-        if np.any(w <= 0.0):
-            raise ValueError("adjacency weights must be positive")
-        diag = a.tocsr().diagonal()
-        if np.any(diag != 0.0):
+        if np.any(a.tocsr().diagonal() != 0.0):
             raise ValueError("self-loops are not allowed")
-        key = u.astype(np.int64) * a.shape[0] + v
-        if len(np.unique(key)) != len(key):
-            raise ValueError("duplicate entries in adjacency input")
+        upper = (a.row < a.col) & (a.data != 0.0)
+        return cls._checked(a.shape[0], a.row[upper], a.col[upper], a.data[upper])
+
+    @classmethod
+    def _checked(cls, n, u, v, w) -> "WeightedGraph":
+        """Graph from parallel sequences of node indices and weights.  Names the
+        first edge with a non-integer index, a self-loop, an index outside 0..n-1
+        or a weight not positive and finite, in that priority; rejects repeats."""
+        if n % 1 != 0:
+            raise ValueError(f"node count {n} is not an integer")
+        if n < 1:
+            raise ValueError("graph needs at least one node")
+        iu, iv = _node_indices(u), _node_indices(v)
+        weights = np.asarray(w, dtype=np.float64)
+        lo, hi = np.minimum(iu, iv), np.maximum(iu, iv)
+        valid = (lo != hi) & (lo >= 0) & (hi < n) & (weights > 0.0) & (weights < np.inf)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            if iu[i] != u[i] or iv[i] != v[i]:
+                raise ValueError(f"edge ({u[i]},{v[i]}) has a non-integer node index")
+            a, b, x = int(u[i]), int(v[i]), float(weights[i])
+            if a == b:
+                raise ValueError(f"self-loop on node {a}")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            raise ValueError(f"weight {x} on edge ({a},{b}) is not positive and finite")
+        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
+        key = lo * int(n) + hi
         order = np.argsort(key, kind="stable")
-        return cls(a.shape[0], u[order].astype(np.int64), v[order].astype(np.int64),
-                   w[order].astype(np.float64))
+        if np.any(np.diff(key[order]) == 0):
+            raise ValueError("duplicate edges in input")
+        return cls(n, lo[order], hi[order], weights[order])
 
     # -- views ------------------------------------------------------------
 
@@ -134,6 +130,17 @@ class WeightedGraph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WeightedGraph(n={self.n}, edges={self.num_edges})"
+
+
+def _node_indices(values) -> np.ndarray:
+    """Node indices that compare exactly (int64, else Python objects: never a
+    float, which could round or overflow); a non-integer reads as -1."""
+    a = np.asarray(values)
+    if a.dtype.kind in "bi":
+        return a
+    a = np.asarray(values, dtype=object)
+    with np.errstate(invalid="ignore"):  # inf % 1
+        return np.where(a % 1 == 0, a, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,15 +311,10 @@ def grid_graph(rows: int, cols: int) -> WeightedGraph:
     """Regular 2-d grid with unit weights, node (r, c) at index r*cols + c."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                edges.append((i, i + 1))
-            if r + 1 < rows:
-                edges.append((i, i + cols))
-    return WeightedGraph.from_edges(rows * cols, edges)
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    u = np.concatenate([idx[:, :-1], idx[:-1]], axis=None)
+    v = np.concatenate([idx[:, 1:], idx[1:]], axis=None)
+    return WeightedGraph._checked(rows * cols, u, v, np.ones(len(u)))
 
 
 def sbm_graph(block_sizes, p_in: float, p_out: float, seed: int) -> WeightedGraph:
@@ -368,11 +370,5 @@ def sbm_graph(block_sizes, p_in: float, p_out: float, seed: int) -> WeightedGrap
             us.append(codes // n)
             vs.append(codes % n)
 
-    if us:
-        u = np.concatenate(us).astype(np.int64)
-        v = np.concatenate(vs).astype(np.int64)
-    else:
-        u = np.empty(0, dtype=np.int64)
-        v = np.empty(0, dtype=np.int64)
-    order = np.argsort(u * n + v, kind="stable")
-    return WeightedGraph(n, u[order], v[order], np.ones(len(u)))
+    u, v = (np.concatenate(us), np.concatenate(vs)) if us else ([], [])
+    return WeightedGraph._checked(n, u, v, np.ones(len(u)))

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graphs import SubgraphPartition, WeightedGraph
+from .graphs import SubgraphPartition, WeightedGraph, as_signal
 
 # Minimum modularity gain for a node move to be accepted; guards against
 # floating-point drift cycles without rejecting any meaningful move.
@@ -69,16 +69,16 @@ def edge_aware_adjacency(graph: WeightedGraph, signal) -> WeightedGraph:
     differences across edges.  A zero bandwidth (constant differences) carries
     no edge information and degrades to unit weights everywhere.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.shape != (graph.n,):
-        raise ValueError("signal must align with the graph nodes")
+    x = as_signal(signal, graph.n)
     u, v, _ = graph.edge_arrays()
     diffs = np.abs(x[u] - x[v])
     sigma = float(diffs.std()) if len(diffs) else 0.0
     if sigma == 0.0:
         weights = np.ones(len(u))
     else:
-        weights = np.exp(-np.square(diffs) / (2.0 * sigma * sigma))
+        # Clamped: far tails of the kernel underflow to 0.0.
+        weights = np.maximum(np.exp(-np.square(diffs) / (2.0 * sigma * sigma)),
+                             np.finfo(np.float64).tiny)
     return WeightedGraph(graph.n, u, v, weights)
 
 

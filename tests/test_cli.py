@@ -203,6 +203,15 @@ class TestAnalyzeSynthesize:
         assert code == 2
         assert "exceed the maximum" in capsys.readouterr().err
 
+    def test_index_beyond_float_range_is_usage_error(self, toy_files, capsys):
+        toy_files["graph"].write_text(f"# nodes: 5\n0\t1\n1\t{10**400}\n")
+        code = main(["analyze", "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]),
+                     "--levels", "1", "--outdir", str(toy_files["dir"] / "r")])
+        assert code == 2
+        assert "out of range for n=5" in capsys.readouterr().err
+        assert not (toy_files["dir"] / "r").exists()
+
     def test_nan_signal_is_usage_error(self, toy_files, capsys):
         toy_files["signal"].write_text("1.0\n-1.0\nnan\n0.0\n0.0\n")
         code = main(["analyze", "--graph", str(toy_files["graph"]),
@@ -224,6 +233,23 @@ class TestAnalyzeSynthesize:
         assert "max abs deviation" in capsys.readouterr().out
         assert np.abs(fileio.read_signal(rec)
                       - fileio.read_signal(toy_files["signal"])).max() < 1e-9
+
+    def test_synthesize_splits_each_level_once(self, toy_files, monkeypatch):
+        import cosub.filterbank
+        import cosub.graphs
+
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        calls = []
+        for module in (cosub.graphs, cosub.filterbank):
+            def counted(graph, partition, _split=module.split_adjacency):
+                calls.append(graph.n)
+                return _split(graph, partition)
+            monkeypatch.setattr(module, "split_adjacency", counted)
+        code = main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(toy_files["dir"] / "rec.csv")])
+        assert code == 0
+        assert calls == [5, 2]
 
     def test_missing_channel_file_fails(self, toy_files, capsys):
         outdir = toy_files["dir"] / "run"

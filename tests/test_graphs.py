@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import graphs_oracle as oracle
 from conftest import brute_coarsen, graphs_equal, random_connected_partition
 from cosub import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
                    connected_components, extract_local_adjacency,
@@ -61,6 +64,105 @@ class TestWeightedGraph:
     def test_from_adjacency_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="symmetric"):
             WeightedGraph.from_adjacency(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def outcome(build, *args):
+    """The arrays and dtypes of an accepted graph, or the text of the
+    `ValueError` that rejected the input."""
+    try:
+        graph = build(*args)
+    except ValueError as exc:
+        return "rejected", str(exc)
+    return graph.n, [(a.dtype.str, a.tolist()) for a in graph.edge_arrays()]
+
+
+# Integral indices within +-2**53 (exact as floats too), weights at and around
+# every weight check, 2- and 3-tuples mixed.
+NODE_INDICES = st.integers(-2, 9) | st.sampled_from([2**53, -(2**53), 2**40])
+WEIGHTS = st.sampled_from([1.0, 0.25, 3, 1e-300, 0.0, -1.0, float("nan"), float("inf")])
+EDGES = st.tuples(NODE_INDICES, NODE_INDICES) | st.tuples(NODE_INDICES, NODE_INDICES, WEIGHTS)
+
+
+@st.composite
+def valid_edge_lists(draw):
+    """A node count and distinct in-range pairs, either orientation, so that
+    most draws are accepted."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]),
+                          unique_by=lambda e: (min(e), max(e)), max_size=12))
+    weights = draw(st.lists(st.sampled_from([None, 1.0, 0.5, 7]), min_size=len(pairs),
+                            max_size=len(pairs)))
+    return n, [e if w is None else (*e, w) for e, w in zip(pairs, weights)]
+
+
+class TestCheckedEntry:
+    """Every validated graph passes one checked entry; it must accept and
+    reject exactly what the per-constructor checks of `graphs_oracle` did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.tuples(st.integers(-1, 8), st.lists(EDGES, max_size=8)) | valid_edge_lists())
+    def test_from_edges_matches_the_oracle(self, case):
+        n, edges = case
+        assert outcome(WeightedGraph.from_edges, n, edges) == outcome(oracle.from_edges, n, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), symmetric=st.booleans())
+    def test_from_adjacency_matches_the_oracle(self, data, n, symmetric):
+        values = st.sampled_from([0.0, 0.0, 1.0, 2.5, -1.0, 0.5])
+        a = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+        if symmetric:
+            a = np.triu(a, 1) + np.triu(a, 1).T
+        if data.draw(st.booleans()):
+            a[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = 1.0
+        got = outcome(WeightedGraph.from_adjacency, a)
+        want = outcome(oracle.from_adjacency, a)
+        assert (got[0] == "rejected") == (want[0] == "rejected")
+        if want[0] != "rejected":
+            assert got == want
+
+    def test_generators_match_the_oracle(self):
+        for rows in range(1, 13):
+            for cols in range(1, 13):
+                assert outcome(grid_graph, rows, cols) == outcome(oracle.grid_graph, rows, cols)
+        cases = [([5], 1.0, 0.0), ([1, 1], 0.5, 0.5), ([3, 4, 5], 0.5, 0.05),
+                 ([10, 10], 1.0, 1.0), ([4, 4], 0.0, 0.0), ([50] * 60, 0.3, 5e-4),
+                 ([300] * 8, 0.3, 4e-3)]
+        for sizes, p_in, p_out in cases:
+            for seed in (0, 3):
+                assert (outcome(sbm_graph, sizes, p_in, p_out, seed)
+                        == outcome(oracle.sbm_graph, sizes, p_in, p_out, seed))
+
+    @pytest.mark.parametrize("edges", [[(0, 1.7), (1.2, 2)], [(0, 1), (1, 2, 2.0), (2.5, 0)],
+                                       [(0, np.float64(1.5))], [(0, 1), (np.nan, 2)]])
+    def test_rejects_fractional_node_index(self, edges):
+        with pytest.raises(ValueError, match="non-integer node index"):
+            WeightedGraph.from_edges(3, edges)
+
+    def test_names_the_first_offending_edge(self):
+        with pytest.raises(ValueError, match=r"edge \(0,1\.5\) has a non-integer"):
+            WeightedGraph.from_edges(3, [(0, 1), (0, 1.5), (2, 2)])
+        with pytest.raises(ValueError, match="self-loop on node 2"):
+            WeightedGraph.from_edges(3, [(0, 1), (2, 2), (0, 1.5)])
+
+    @pytest.mark.parametrize("n", [2.5, np.float64(0.5), float("nan"), float("inf")])
+    def test_rejects_fractional_node_count(self, n):
+        with pytest.raises(ValueError, match="node count .* is not an integer"):
+            WeightedGraph.from_edges(n, [(0, 1)])
+
+    def test_integral_floats_are_accepted(self):
+        assert (outcome(WeightedGraph.from_edges, 3.0, [(2.0, np.float64(0.0), 2)])
+                == outcome(WeightedGraph.from_edges, 3, [(0, 2, 2.0)]))
+
+    @pytest.mark.parametrize("index", [10**400, -(10**400), 2**63, 2**64 + 1])
+    def test_index_beyond_int64_is_out_of_range(self, index):
+        with pytest.raises(ValueError, match=f"edge \\(0,{index}\\) out of range for n=5"):
+            WeightedGraph.from_edges(5, [(0, 1), (0, index)])
+
+    @pytest.mark.parametrize("edge", [(0,), (0, 1, 1.0, 2)])
+    def test_rejects_malformed_tuple(self, edge):
+        with pytest.raises(ValueError, match=r"is not \(u, v\) or \(u, v, weight\)"):
+            WeightedGraph.from_edges(3, [(1, 2), edge])
 
 
 class TestLaplacian:

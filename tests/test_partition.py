@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import blocks_to_labels, brute_modularity, set_partitions
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph,
-                   edge_aware_adjacency, haar_partition, louvain, modularity,
-                   partition_is_connected, sbm_graph)
+                   edge_aware_adjacency, grid_graph, haar_partition, line_graph, louvain,
+                   modularity, partition_is_connected, sbm_graph)
 from cosub.partition import (GAIN_EPS, _aggregate, _local_moves, _split_disconnected,
                              _WorkingGraph)
 
@@ -133,6 +133,24 @@ class TestEdgeAware:
         g = WeightedGraph.from_edges(2, [(0, 1)])
         out = edge_aware_adjacency(g, [0.0, 1.0])
         assert list(out.edges()) == [(0, 1, 1.0)]
+
+    def test_non_finite_signal_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            edge_aware_adjacency(line_graph(4), [0.0, 1.0, np.nan, 2.0])
+
+    def test_underflowing_kernel_keeps_weights_positive(self):
+        # One spike on a 40x40 grid: sigma is tiny, and the kernel of the two
+        # edges at the spike underflows to exactly 0.0 unless clamped.
+        g = grid_graph(40, 40)
+        x = np.zeros(g.n)
+        x[0] = 1.0
+        out = edge_aware_adjacency(g, x)
+        u, v, w = out.edge_arrays()
+        assert np.all(w > 0.0)
+        assert np.count_nonzero(w == np.finfo(np.float64).tiny) == 2
+        assert np.all(w[(u != 0) & (v != 0)] == 1.0)
+        rebuilt = WeightedGraph.from_edges(g.n, out.edges())
+        assert np.array_equal(rebuilt.edge_arrays()[2], w)
 
     def test_path_kernel_values(self):
         g = WeightedGraph.from_edges(3, [(0, 1), (1, 2)])
