@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
-                     connected_components, split_adjacency)
+                     component_count, split_adjacency)
 from .partition import PartitionConfig, edge_aware_adjacency, louvain
 from .spectral import local_eigenbases
 
@@ -19,20 +19,23 @@ class LevelOperators:
 
     Everything is stored as per-subgraph blocks: `node_lists[k]` are the
     original node indices of subgraph k+1 (ascending) and `bases[k]` its local
-    eigenbasis; subgraphs with byte-identical Laplacians share one read-only
-    basis.  Channel l collects the l-th local mode of every subgraph with
-    at least l nodes, in ascending label order.  Concatenating the blocks'
-    local coefficients (all modes of subgraph 1, then of subgraph 2, ...)
-    gives the block order; `order` is the stable argsort of each coefficient's
-    mode index in block order, so `flat[order]` lists channel 1, then channel
-    2, and so on, and channel l is the slice `offsets[l-1]:offsets[l]`.
+    eigenbasis; subgraphs with byte-identical Laplacians (equal local edges,
+    see `build_operators`) share one read-only basis object.  Channel l
+    collects the l-th local mode of every subgraph with at least l nodes, in
+    ascending label order.  Concatenating the blocks' local coefficients (all
+    modes of subgraph 1, then of subgraph 2, ...) gives the block order;
+    `order` is the stable argsort of each coefficient's mode index in block
+    order, so `flat[order]` lists channel 1, then channel 2, and so on, and
+    channel l is the slice `offsets[l-1]:offsets[l]`.
 
     `a_int` and `a_ext` are the level's graph split once into its intra- and
     inter-subgraph edges: the first gave the local Laplacians, the second
     coarsens channel 1 (the approximation) into the next level's graph.
 
     The sparse channel operators are not stored: `_channel_parts` gathers
-    them from these blocks by index arithmetic when they are asked for.
+    them from these blocks by index arithmetic when they are asked for, once
+    per set of member subgraphs for the indices and once per channel for the
+    values.
     """
 
     partition: SubgraphPartition
@@ -58,10 +61,15 @@ class LevelOperators:
     def _channel_members(self, channels):
         """Yield `(l, members)` for each channel l in `channels`: the 0-based
         indices of the subgraphs with at least l nodes, ascending.  They are
-        the |channel l| largest subgraphs, so no channel scans them all."""
+        the |channel l| largest subgraphs, so no channel scans them all, and
+        consecutive channels of equal size are given the same array."""
         by_size = np.argsort(-self.partition.sizes, kind="stable")
+        count, members = None, None
         for l in channels:
-            yield l, np.sort(by_size[:self.offsets[l] - self.offsets[l - 1]])
+            if self.offsets[l] - self.offsets[l - 1] != count:
+                count = self.offsets[l] - self.offsets[l - 1]
+                members = np.sort(by_size[:count])
+            yield l, members
 
     @property
     def index_lists(self) -> list[np.ndarray]:
@@ -77,8 +85,11 @@ class LevelOperators:
 
         Everything is gathered by index arithmetic: the nodes from the
         block-order node array, the values from one flat copy of the level's
-        distinct bases, made once per call.  Temporaries are the size of one
-        channel's entries, never of the whole level.
+        distinct bases, made once per call.  The node indices and the value
+        offsets depend only on the channel's member set, so they are computed
+        once per set; each channel then costs one add and one gather.
+        Channels of one set share their `indices` array.  Temporaries are the
+        size of one channel's entries, never of the whole level.
         """
         sizes = self.partition.sizes
         nodes = np.concatenate(self.node_lists)
@@ -96,16 +107,20 @@ class LevelOperators:
             # pos = node_start[k] + r of `nodes`, is
             # source[pos * sizes[k] + value_base[k] + l - 1].
             value_base = (np.cumsum(area) - area)[slot] - node_start * sizes
+        last = None
         for l, members in self._channel_members(channels):
-            counts = sizes[members]
-            ends = np.cumsum(counts)
-            pos = np.arange(ends[-1]) + np.repeat(node_start[members] - (ends - counts), counts)
-            if basis_field is None:
-                data = np.ones(len(pos))
-            else:
-                data = source[pos * np.repeat(counts, counts)
-                              + np.repeat(value_base[members] + (l - 1), counts)]
-            yield data, nodes[pos], counts
+            if members is not last:
+                last = members
+                counts = sizes[members]
+                ends = np.cumsum(counts)
+                pos = np.arange(ends[-1]) + np.repeat(node_start[members] - (ends - counts),
+                                                      counts)
+                indices = nodes[pos]
+                if basis_field is not None:
+                    offset = pos * np.repeat(counts, counts) + np.repeat(value_base[members],
+                                                                         counts)
+            data = np.ones(len(pos)) if basis_field is None else source[offset + (l - 1)]
+            yield data, indices, counts
 
     def _channel_matrix(self, l: int, basis_field: str | None) -> sp.csc_matrix:
         """Channel l as an n x |channel| CSC matrix (see `_channel_parts`)."""
@@ -138,12 +153,56 @@ def _csc(n: int, data: np.ndarray, indices: np.ndarray, counts: np.ndarray) -> s
     return sp.csc_matrix((data, indices, indptr), shape=(n, len(counts)))
 
 
+def _distinct_laplacians(a_int: WeightedGraph, partition: SubgraphPartition,
+                         local_rank: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
+    """Dense Laplacians of the level's distinct blocks, in first-seen order,
+    and each block's index into them.
+
+    A block is keyed by its size and the bytes of its local (row, col,
+    weight) edge arrays.  Edge weights are positive, so two keys are equal
+    exactly when the two Laplacians are byte-identical; only the first block
+    of each key gets a dense Laplacian.
+    """
+    sizes = partition.sizes
+    # One grouped pass over the intra-subgraph edges keeps the whole
+    # extraction linear in the graph size.  Within a block the edges stay
+    # sorted by (row, col), as `a_int` stores them.
+    bu, bv, bw = a_int.edge_arrays()
+    block = partition.labels[bu] - 1
+    order = np.argsort(block, kind="stable")
+    bounds = np.searchsorted(block[order], np.arange(partition.n_subgraphs + 1)).tolist()
+    # The weights ride along as their int64 bit patterns, so each block's
+    # edges are one contiguous byte range of `local`.
+    local = np.stack([local_rank[bu[order]], local_rank[bv[order]],
+                      bw[order].view(np.int64)], axis=1)
+    slot_of: dict = {}
+    slots = [slot_of.setdefault((size, local[lo:hi].tobytes()), len(slot_of))
+             for size, lo, hi in zip(sizes.tolist(), bounds[:-1], bounds[1:])]
+    laplacians = []
+    for k, slot in enumerate(slots):
+        if slot < len(laplacians):
+            continue
+        rows, cols, weights = local[bounds[k]:bounds[k + 1]].T
+        weights = weights.view(np.float64)
+        adj = np.zeros((sizes[k], sizes[k]))
+        adj[rows, cols] = weights
+        adj[cols, rows] = weights
+        lap = -adj
+        lap[np.diag_indices(sizes[k])] = adj.sum(axis=1)
+        laplacians.append(lap)
+    return laplacians, slots
+
+
 def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
                     p: int) -> LevelOperators:
     """Assemble the level operators from per-subgraph Laplacian eigenbases;
-    the level's one `split_adjacency` gives their `a_int` and `a_ext`."""
+    the level's one `split_adjacency` gives their `a_int` and `a_ext`.
+
+    Only the distinct blocks (`_distinct_laplacians`) are solved; every block
+    with the same Laplacian bytes shares one read-only `LocalEigenBasis`.
+    """
     a_int, a_ext = split_adjacency(graph, partition)
-    if connected_components(a_int).n_subgraphs != partition.n_subgraphs:
+    if component_count(a_int) != partition.n_subgraphs:
         raise ValueError("every subgraph of the partition must be connected")
     node_lists = partition.node_lists()
     sizes = partition.sizes
@@ -152,25 +211,10 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     mode = np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     local_rank = np.empty(graph.n, dtype=np.int64)
     local_rank[np.concatenate(node_lists)] = mode
-    # One grouped pass over the intra-subgraph edges keeps the whole
-    # extraction linear in the graph size.
-    bu, bv, bw = a_int.edge_arrays()
-    block = partition.labels[bu] - 1
-    order = np.argsort(block, kind="stable")
-    bounds = np.searchsorted(block[order], np.arange(partition.n_subgraphs + 1))
-    laplacians = []
-    for k, size in enumerate(sizes):
-        sel = order[bounds[k]:bounds[k + 1]]
-        rows = local_rank[bu[sel]]
-        cols = local_rank[bv[sel]]
-        adj = np.zeros((size, size))
-        adj[rows, cols] = bw[sel]
-        adj[cols, rows] = bw[sel]
-        lap = -adj
-        lap[np.diag_indices(size)] = adj.sum(axis=1)
-        laplacians.append(lap)
-    bases = local_eigenbases(laplacians, p)
-    return LevelOperators(partition=partition, node_lists=node_lists, bases=bases,
+    laplacians, slots = _distinct_laplacians(a_int, partition, local_rank)
+    distinct = local_eigenbases(laplacians, p)
+    return LevelOperators(partition=partition, node_lists=node_lists,
+                          bases=[distinct[slot] for slot in slots],
                           order=np.argsort(mode, kind="stable"),
                           offsets=np.concatenate([[0], np.cumsum(np.bincount(mode))]),
                           a_int=a_int, a_ext=a_ext)

@@ -9,6 +9,10 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 
+# Largest node count whose (u, v) sort key u * n + v fits in an int64.
+MAX_NODE_COUNT = 3_037_000_499
+
+
 class WeightedGraph:
     """Undirected weighted graph over nodes 0..n-1.
 
@@ -66,8 +70,10 @@ class WeightedGraph:
             raise ValueError(f"node count {n} is not an integer")
         if n < 1:
             raise ValueError("graph needs at least one node")
+        if n > MAX_NODE_COUNT:
+            raise ValueError(f"node count {n} exceeds the maximum of {MAX_NODE_COUNT}")
         iu, iv = _node_indices(u), _node_indices(v)
-        weights = np.asarray(w, dtype=np.float64)
+        weights = _weights(w)
         lo, hi = np.minimum(iu, iv), np.maximum(iu, iv)
         valid = (lo != hi) & (lo >= 0) & (hi < n) & (weights > 0.0) & (weights < np.inf)
         if not valid.all():
@@ -130,6 +136,22 @@ class WeightedGraph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WeightedGraph(n={self.n}, edges={self.num_edges})"
+
+
+def _weights(values) -> np.ndarray:
+    """Edge weights as float64; an integer beyond the float range reads as
+    +-inf, as a float literal that large would."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        return np.array([_float_or_inf(x) for x in values])
+
+
+def _float_or_inf(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return np.inf if x > 0 else -np.inf
 
 
 def _node_indices(values) -> np.ndarray:
@@ -231,16 +253,31 @@ def extract_local_adjacency(graph: WeightedGraph, partition: SubgraphPartition,
     return graph.subgraph(partition.members(k))
 
 
+def _one_sided(graph: WeightedGraph) -> sp.csr_matrix:
+    """Each edge once, in row u < v; `csgraph` with directed=False reads it as
+    the symmetric adjacency.  The edges are sorted by u, so they already are
+    the CSR rows."""
+    u, v, w = graph.edge_arrays()
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=graph.n))])
+    return sp.csr_matrix((w, v, indptr), shape=(graph.n, graph.n))
+
+
 def connected_components(graph: WeightedGraph) -> SubgraphPartition:
     """Component labelling, numbered by ascending smallest node index."""
-    _, raw = csgraph.connected_components(graph.adjacency, directed=False)
+    _, raw = csgraph.connected_components(_one_sided(graph), directed=False)
     return SubgraphPartition.compact(raw)
+
+
+def component_count(graph: WeightedGraph) -> int:
+    """Number of connected components, isolated nodes included."""
+    return int(csgraph.connected_components(_one_sided(graph), directed=False,
+                                            return_labels=False))
 
 
 def partition_is_connected(graph: WeightedGraph, partition: SubgraphPartition) -> bool:
     """True when every label class induces a connected subgraph."""
     a_int, _ = split_adjacency(graph, partition)
-    return connected_components(a_int).n_subgraphs == partition.n_subgraphs
+    return component_count(a_int) == partition.n_subgraphs
 
 
 def coarsen(graph: WeightedGraph, partition: SubgraphPartition) -> WeightedGraph:

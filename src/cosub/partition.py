@@ -70,6 +70,10 @@ def edge_aware_adjacency(graph: WeightedGraph, signal) -> WeightedGraph:
     no edge information and degrades to unit weights everywhere.
     """
     x = as_signal(signal, graph.n)
+    # Scaled by an exact power of two to |x| < 1, so no difference or square
+    # overflows; the kernel reads only diffs / sigma, which the scale leaves
+    # as it was.
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     u, v, _ = graph.edge_arrays()
     diffs = np.abs(x[u] - x[v])
     sigma = float(diffs.std()) if len(diffs) else 0.0

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from conftest import graphs_equal
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph,
                    analyze_cascade, analyze_level, biorthogonality_residual,
-                   build_operators, compute_atoms, haar_partition, line_graph,
-                   sbm_graph, split_adjacency, stacked_analysis,
-                   synthesize_cascade, synthesize_level)
+                   build_operators, compute_atoms, connected_components,
+                   haar_partition, laplacian, line_graph, local_eigenbasis,
+                   partition_is_connected, sbm_graph, split_adjacency,
+                   stacked_analysis, synthesize_cascade, synthesize_level)
 
 TOY_SECOND_LEVEL = SubgraphPartition.from_labels([1, 1])
 
@@ -95,6 +99,62 @@ class TestBuildOperators:
             if p == 2:
                 theta = stacked_analysis(ops)
                 assert np.abs(theta.T @ theta - np.eye(5)).max() < 1e-10
+
+
+@st.composite
+def tiled_grids(draw):
+    """A grid cut into th x tw tiles, the last row and column of tiles
+    smaller, so equal tiles repeat beside blocks of other sizes.  Weights are
+    all one, periodic in the tile (equal tiles stay equal), drawn from {1, 2}
+    (some tiles coincide) or uniform (none do); some edges may be dropped,
+    which leaves isolated nodes and disconnected tiles."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    th, tw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    u = np.concatenate([idx[:, :-1], idx[:-1]], axis=None)
+    v = np.concatenate([idx[:, 1:], idx[1:]], axis=None)
+    r, c = np.divmod(u, cols)
+    weights = {"ones": np.ones(len(u)),
+               "periodic": 1.0 + (r % th) + 0.5 * (c % tw) + 0.25 * (v - u == 1),
+               "two": rng.choice([1.0, 2.0], len(u)),
+               "uniform": rng.uniform(0.1, 3.0, len(u))}[
+        draw(st.sampled_from(["ones", "periodic", "two", "uniform"]))]
+    keep = rng.random(len(u)) >= draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))
+    graph = WeightedGraph.from_edges(rows * cols, zip(u[keep], v[keep], weights[keep]))
+    rr, cc = np.divmod(np.arange(rows * cols), cols)
+    raw = (rr // th) * cols + cc // tw
+    if draw(st.booleans()):
+        raw = rng.integers(0, draw(st.integers(1, rows * cols)), rows * cols)
+    return graph, SubgraphPartition.compact(raw)
+
+
+class TestDistinctBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(case=tiled_grids(), p=st.sampled_from([1, 2]))
+    def test_blocks_share_bases_exactly_when_laplacians_match(self, case, p):
+        graph, part = case
+        a_int, _ = split_adjacency(graph, part)
+        node_lists = part.node_lists()
+        laps = [laplacian(a_int.subgraph(nodes)) for nodes in node_lists]
+        # Independent of the library's component count: each class alone.
+        connected = all(csgraph.connected_components(lap != 0, directed=False)[0] == 1
+                        for lap in laps)
+        assert partition_is_connected(graph, part) == connected
+        assert (connected_components(a_int).n_subgraphs == part.n_subgraphs) == connected
+        if not connected:
+            with pytest.raises(ValueError, match="connected"):
+                build_operators(graph, part, p)
+            return
+        bases = build_operators(graph, part, p).bases
+        for lap, basis in zip(laps, bases):
+            alone = local_eigenbasis(lap, p)
+            for field in ("eigenvalues", "analysis", "synthesis"):
+                assert getattr(basis, field).tobytes() == getattr(alone, field).tobytes()
+        keys = [lap.tobytes() for lap in laps]
+        for i in range(len(laps)):
+            for j in range(i):
+                assert (bases[i] is bases[j]) == (keys[i] == keys[j])
 
 
 class TestAnalyzeSynthesizeLevel:

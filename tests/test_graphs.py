@@ -11,6 +11,7 @@ from cosub import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
                    connected_components, extract_local_adjacency,
                    global_fourier, grid_graph, laplacian, line_graph,
                    partition_is_connected, sbm_graph, split_adjacency)
+from cosub.graphs import MAX_NODE_COUNT
 
 
 class TestWeightedGraph:
@@ -163,6 +164,23 @@ class TestCheckedEntry:
     def test_rejects_malformed_tuple(self, edge):
         with pytest.raises(ValueError, match=r"is not \(u, v\) or \(u, v, weight\)"):
             WeightedGraph.from_edges(3, [(1, 2), edge])
+
+    @pytest.mark.parametrize("weight", [10**400, -(10**400)])
+    def test_weight_beyond_float_range_is_rejected(self, weight):
+        with pytest.raises(ValueError, match=r"weight -?inf on edge \(0,1\) is not positive"):
+            WeightedGraph.from_edges(5, [(0, 2, 1.0), (0, 1, weight)])
+
+    def test_node_count_beyond_the_limit_is_rejected(self):
+        for n in (10**400, MAX_NODE_COUNT + 1):
+            with pytest.raises(ValueError, match=f"node count {n} exceeds the maximum"):
+                WeightedGraph.from_edges(n, [(0, 1)])
+
+    def test_largest_node_count_keeps_edges_sorted(self):
+        # The (u, v) sort key u * n + v must not wrap around in int64.
+        top = MAX_NODE_COUNT - 1
+        g = WeightedGraph.from_edges(MAX_NODE_COUNT, [(top - 1, top), (1, top), (0, 1)])
+        u, v, _ = g.edge_arrays()
+        assert u.tolist() == [0, 1, top - 1] and v.tolist() == [1, top, top]
 
 
 class TestLaplacian:

@@ -152,6 +152,33 @@ class TestEdgeAware:
         rebuilt = WeightedGraph.from_edges(g.n, out.edges())
         assert np.array_equal(rebuilt.edge_arrays()[2], w)
 
+    def test_overflowing_differences_give_valid_weights(self):
+        # Unscaled, the differences 2e308 and 1e308 overflow: sigma and both
+        # weights were NaN.  Scaled, they stand at 2:1, sigma is half the
+        # smaller one, and the kernel gives exp(-8) and exp(-2).
+        out = edge_aware_adjacency(line_graph(3), [1e308, -1e308, 0.0])
+        w = out.edge_arrays()[2]
+        assert w == pytest.approx([np.exp(-8.0), np.exp(-2.0)], rel=1e-14)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30),
+           exponent=st.floats(-30.0, 30.0), steps=st.booleans())
+    def test_scaling_leaves_weights_bit_identical(self, seed, n, exponent, steps):
+        # Where nothing overflows, the weights equal the unscaled kernel's,
+        # bit for bit.
+        g = sbm_graph([n], 0.3, 0.0, seed)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n)
+        x = 10.0 ** exponent * (np.round(3.0 * x) if steps else x)
+        u, v, _ = g.edge_arrays()
+        diffs = np.abs(x[u] - x[v])
+        sigma = float(diffs.std()) if len(diffs) else 0.0
+        want = (np.ones(len(u)) if sigma == 0.0 else
+                np.maximum(np.exp(-np.square(diffs) / (2.0 * sigma * sigma)),
+                           np.finfo(np.float64).tiny))
+        got = edge_aware_adjacency(g, x).edge_arrays()[2]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_path_kernel_values(self):
         g = WeightedGraph.from_edges(3, [(0, 1), (1, 2)])
         out = edge_aware_adjacency(g, [0.0, 0.0, 1.0])
