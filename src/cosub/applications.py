@@ -87,8 +87,12 @@ def nla_compress(pyramid: Pyramid, keep_hp: int) -> Pyramid:
         raise ValueError("keep_hp must lie in [0, total detail count]")
 
     def keep_largest(details: np.ndarray) -> np.ndarray:
+        # Every magnitude above the keep_hp-th largest, then the first ties.
+        mags = np.abs(details)
+        cut = np.partition(mags, -keep_hp)[-keep_hp] if keep_hp else np.inf
+        above = np.flatnonzero(mags > cut)
+        top = np.concatenate([above, np.flatnonzero(mags == cut)[:keep_hp - len(above)]])
         kept = np.zeros_like(details)
-        top = np.argsort(-np.abs(details), kind="stable")[:keep_hp]
         kept[top] = details[top]
         return kept
 

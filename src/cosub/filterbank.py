@@ -10,37 +10,59 @@ import scipy.sparse as sp
 from .graphs import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
                      component_count, split_adjacency)
 from .partition import PartitionConfig, edge_aware_adjacency, louvain
-from .spectral import local_eigenbases
+from .spectral import LocalEigenBasis, eigenbasis_stack
+
+
+@dataclass(frozen=True, eq=False)
+class SizeClass:
+    """The subgraphs of one size s in a level, ascending by label: row i has
+    the nodes `nodes[i]` (ascending) and the channel-order positions
+    `positions[i]` of the s coefficients, mode 1 first.  Its basis is row
+    `rows[i]` of the read-only (d, s, s) `analysis` and `synthesis` stacks
+    of the class's d distinct bases, as `eigenbasis_stack` solved them."""
+
+    nodes: np.ndarray
+    positions: np.ndarray
+    rows: np.ndarray
+    analysis: np.ndarray
+    synthesis: np.ndarray
+
+    def per_block(self, stack: np.ndarray) -> np.ndarray:
+        """A stack lined up with the rows for a broadcasting `np.matmul`: as it
+        is when all rows share one basis or each has its own."""
+        return stack if len(stack) in (1, len(self.rows)) else stack[self.rows]
 
 
 @dataclass(frozen=True, eq=False)
 class LevelOperators:
     """One cascade level's analysis, synthesis and grouping operators.
 
-    Everything is stored as per-subgraph blocks: `node_lists[k]` are the
-    original node indices of subgraph k+1 (ascending) and `bases[k]` its local
-    eigenbasis; subgraphs with byte-identical Laplacians (equal local edges,
-    see `build_operators`) share one read-only basis object.  Channel l
-    collects the l-th local mode of every subgraph with at least l nodes, in
-    ascending label order.  Concatenating the blocks' local coefficients (all
-    modes of subgraph 1, then of subgraph 2, ...) gives the block order;
-    `order` is the stable argsort of each coefficient's mode index in block
-    order, so `flat[order]` lists channel 1, then channel 2, and so on, and
-    channel l is the slice `offsets[l-1]:offsets[l]`.
+    The subgraphs are stored by size, one `SizeClass` per size, largest
+    first, so analysis and synthesis take one stacked product per class.
+    Subgraphs with byte-identical Laplacians (equal local edges, see
+    `build_operators`) share one basis row.  `node_lists[k]` (the nodes of
+    subgraph k+1, ascending) and `bases[k]` (its `LocalEigenBasis`, views of
+    the stacks) are per-subgraph views for reading; subgraphs sharing a basis
+    row share one basis object.
+
+    Channel l collects the l-th local mode of every subgraph with at least l
+    nodes, in ascending label order.  Concatenating the blocks' local
+    coefficients (all modes of subgraph 1, then of subgraph 2, ...) gives the
+    block order; `order` is the stable argsort of each coefficient's mode
+    index in block order, so `flat[order]` lists channel 1, then channel 2,
+    and so on, and channel l is the slice `offsets[l-1]:offsets[l]`.
 
     `a_int` and `a_ext` are the level's graph split once into its intra- and
     inter-subgraph edges: the first gave the local Laplacians, the second
-    coarsens channel 1 (the approximation) into the next level's graph.
-
-    The sparse channel operators are not stored: `_channel_parts` gathers
-    them from these blocks by index arithmetic when they are asked for, once
-    per set of member subgraphs for the indices and once per channel for the
-    values.
+    coarsens channel 1 (the approximation) into the next level's graph.  The
+    sparse channel operators are not stored: `_channel_parts` gathers them
+    from the classes when they are asked for.
     """
 
     partition: SubgraphPartition
     node_lists: list
     bases: list
+    classes: tuple
     order: np.ndarray
     offsets: np.ndarray
     a_int: WeightedGraph
@@ -58,24 +80,11 @@ class LevelOperators:
     def channel_sizes(self) -> list[int]:
         return np.diff(self.offsets).tolist()
 
-    def _channel_members(self, channels):
-        """Yield `(l, members)` for each channel l in `channels`: the 0-based
-        indices of the subgraphs with at least l nodes, ascending.  They are
-        the |channel l| largest subgraphs, so no channel scans them all, and
-        consecutive channels of equal size are given the same array."""
-        by_size = np.argsort(-self.partition.sizes, kind="stable")
-        count, members = None, None
-        for l in channels:
-            if self.offsets[l] - self.offsets[l - 1] != count:
-                count = self.offsets[l] - self.offsets[l - 1]
-                members = np.sort(by_size[:count])
-            yield l, members
-
     @property
     def index_lists(self) -> list[np.ndarray]:
         """`index_lists[l-1]`: the subgraph labels of channel l, ascending."""
-        return [members + 1 for _, members
-                in self._channel_members(range(1, self.n_channels + 1))]
+        by_size = np.argsort(-self.partition.sizes, kind="stable")
+        return [np.sort(by_size[:count]) + 1 for count in self.channel_sizes]
 
     def _channel_parts(self, basis_field: str | None, channels):
         """Yield `(data, indices, counts)` for each channel l in `channels`:
@@ -83,43 +92,35 @@ class LevelOperators:
         them), the l-th column of that subgraph's `basis_field` matrix, or
         ones when `basis_field` is None.
 
-        Everything is gathered by index arithmetic: the nodes from the
-        block-order node array, the values from one flat copy of the level's
-        distinct bases, made once per call.  The node indices and the value
-        offsets depend only on the channel's member set, so they are computed
-        once per set; each channel then costs one add and one gather.
-        Channels of one set share their `indices` array.  Temporaries are the
-        size of one channel's entries, never of the whole level.
+        Channel l's subgraphs are the |channel l| largest, which make up the
+        classes of size at least l: a prefix of `classes`, and of their
+        class-major order `by_size`.  `pos` places the channel's entries, in
+        label order, in that prefix's node matrices.  The node indices and
+        `pos` are computed once per member set, and channels of one set share
+        their `indices`.  Each channel then costs one gather from each class's
+        stack and, when it spans several classes, one by `pos`.
         """
         sizes = self.partition.sizes
-        nodes = np.concatenate(self.node_lists)
-        node_start = np.cumsum(sizes) - sizes
-        if basis_field is not None:
-            # Blocks sharing a basis share its source values.
-            distinct = list(dict.fromkeys(self.bases))
-            slot_of = {basis: slot for slot, basis in enumerate(distinct)}
-            slot = np.fromiter(map(slot_of.__getitem__, self.bases), dtype=np.int64,
-                               count=len(self.bases))
-            _, first = np.unique(slot, return_index=True)
-            area = sizes[first] ** 2
-            source = np.concatenate([getattr(basis, basis_field).ravel() for basis in distinct])
-            # Entry (r, l-1) of block k's basis, whose node sits at position
-            # pos = node_start[k] + r of `nodes`, is
-            # source[pos * sizes[k] + value_base[k] + l - 1].
-            value_base = (np.cumsum(area) - area)[slot] - node_start * sizes
+        by_size = np.argsort(-sizes, kind="stable")
+        class_start = np.empty_like(by_size)
+        class_start[by_size] = np.cumsum(sizes[by_size]) - sizes[by_size]
+        nodes = np.concatenate([c.nodes.ravel() for c in self.classes])
         last = None
-        for l, members in self._channel_members(channels):
-            if members is not last:
-                last = members
+        for l in channels:
+            count = self.offsets[l] - self.offsets[l - 1]
+            if count != last:
+                last, members = count, np.sort(by_size[:count])
                 counts = sizes[members]
                 ends = np.cumsum(counts)
-                pos = np.arange(ends[-1]) + np.repeat(node_start[members] - (ends - counts),
+                pos = np.arange(ends[-1]) + np.repeat(class_start[members] - (ends - counts),
                                                       counts)
                 indices = nodes[pos]
-                if basis_field is not None:
-                    offset = pos * np.repeat(counts, counts) + np.repeat(value_base[members],
-                                                                         counts)
-            data = np.ones(len(pos)) if basis_field is None else source[offset + (l - 1)]
+            if basis_field is None:
+                data = np.ones(len(pos))
+            else:
+                parts = [getattr(c, basis_field)[c.rows, :, l - 1].ravel()
+                         for c in self.classes if c.nodes.shape[1] >= l]
+                data = parts[0] if len(parts) == 1 else np.concatenate(parts)[pos]
             yield data, indices, counts
 
     def _channel_matrix(self, l: int, basis_field: str | None) -> sp.csc_matrix:
@@ -198,24 +199,42 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     """Assemble the level operators from per-subgraph Laplacian eigenbases;
     the level's one `split_adjacency` gives their `a_int` and `a_ext`.
 
-    Only the distinct blocks (`_distinct_laplacians`) are solved; every block
-    with the same Laplacian bytes shares one read-only `LocalEigenBasis`.
+    Only the distinct blocks (`_distinct_laplacians`) are solved, one
+    `eigenbasis_stack` per size class; every block with the same Laplacian
+    bytes uses that basis row.
     """
     a_int, a_ext = split_adjacency(graph, partition)
     if component_count(a_int) != partition.n_subgraphs:
         raise ValueError("every subgraph of the partition must be connected")
     node_lists = partition.node_lists()
     sizes = partition.sizes
-    # Local mode index of every coefficient in block order, which is also
-    # each node's rank inside its subgraph.
-    mode = np.arange(graph.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    start = np.cumsum(sizes) - sizes
+    # Every subgraph's nodes, one subgraph after another (the block order),
+    # and the local mode index of every coefficient in block order, which is
+    # also each node's rank inside its subgraph.
+    block_nodes = np.concatenate(node_lists)
+    mode = np.arange(graph.n) - np.repeat(start, sizes)
     local_rank = np.empty(graph.n, dtype=np.int64)
-    local_rank[np.concatenate(node_lists)] = mode
+    local_rank[block_nodes] = mode
+    order = np.argsort(mode, kind="stable")
+    position = np.empty(graph.n, dtype=np.int64)
+    position[order] = np.arange(graph.n)
     laplacians, slots = _distinct_laplacians(a_int, partition, local_rank)
-    distinct = local_eigenbases(laplacians, p)
-    return LevelOperators(partition=partition, node_lists=node_lists,
-                          bases=[distinct[slot] for slot in slots],
-                          order=np.argsort(mode, kind="stable"),
+    slots = np.array(slots)
+    bases, classes = [None] * partition.n_subgraphs, []
+    for size in np.unique(sizes)[::-1].tolist():
+        blocks = np.flatnonzero(sizes == size)
+        # Slots are numbered in first-seen order, so `rows` keeps it.
+        distinct, rows = np.unique(slots[blocks], return_inverse=True)
+        w, analysis, synthesis = eigenbasis_stack(np.stack([laplacians[k] for k in distinct]), p)
+        shared = [LocalEigenBasis(*parts, p=p) for parts in zip(w, analysis, synthesis)]
+        for k, row in zip(blocks.tolist(), rows.tolist()):
+            bases[k] = shared[row]
+        cells = start[blocks][:, None] + np.arange(size)
+        classes.append(SizeClass(block_nodes[cells], position[cells], rows, analysis,
+                                 synthesis))
+    return LevelOperators(partition=partition, node_lists=node_lists, bases=bases,
+                          classes=tuple(classes), order=order,
                           offsets=np.concatenate([[0], np.cumsum(np.bincount(mode))]),
                           a_int=a_int, a_ext=a_ext)
 
@@ -227,32 +246,33 @@ def analyze_level(signal, graph: WeightedGraph, operators: LevelOperators,
     Channel l holds one coefficient per subgraph with at least l nodes, in
     ascending label order.  The coarse graph carries the approximation
     channel: one supernode per subgraph, joined by the summed inter-subgraph
-    edges of `a_ext`.
+    edges of `a_ext`.  Each size class takes one stacked product, bit-identical
+    to each block's `basis.analysis.T @ x[nodes]`.
     """
     x = as_signal(signal, graph.n)
     if operators.n != graph.n or a_ext.n != graph.n:
         raise ValueError("operators, graph and inter-subgraph adjacency disagree in size")
-    flat = np.concatenate([basis.analysis.T @ x[nodes]
-                           for nodes, basis in zip(operators.node_lists, operators.bases)])
-    channels = np.split(flat[operators.order], operators.offsets[1:-1])
+    flat = np.empty(operators.n)
+    for c in operators.classes:
+        flat[c.positions] = np.matmul(c.per_block(c.analysis).transpose(0, 2, 1),
+                                      x[c.nodes][..., None])[..., 0]
+    channels = np.split(flat, operators.offsets[1:-1])
     return channels, coarsen(a_ext, operators.partition)
 
 
 def synthesize_level(channels: list[np.ndarray], operators: LevelOperators) -> np.ndarray:
-    """Exact single-level reconstruction from the channel signals."""
+    """Exact single-level reconstruction from the channel signals, one
+    stacked product per size class (each block's `basis.synthesis @ c`)."""
     if len(channels) != operators.n_channels:
         raise ValueError("channel count does not match the operators")
     sizes = operators.channel_sizes
     for l, (chan, size) in enumerate(zip(channels, sizes), start=1):
         if len(chan) != size:
             raise ValueError(f"channel {l} has length {len(chan)}, expected {size}")
-    flat = np.empty(operators.n)
-    flat[operators.order] = np.concatenate(channels)
-    x = np.zeros(operators.n)
-    start = 0
-    for nodes, basis in zip(operators.node_lists, operators.bases):
-        x[nodes] = basis.synthesis @ flat[start:start + len(nodes)]
-        start += len(nodes)
+    flat = np.concatenate(channels)
+    x = np.empty(operators.n)
+    for c in operators.classes:
+        x[c.nodes] = np.matmul(c.per_block(c.synthesis), flat[c.positions][..., None])[..., 0]
     return x
 
 

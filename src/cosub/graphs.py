@@ -217,9 +217,10 @@ class SubgraphPartition:
         return np.flatnonzero(self.labels == k)
 
     def node_lists(self) -> list[np.ndarray]:
+        """`members(k)` for k = 1..K; the stable argsort lists each ascending."""
         order = np.argsort(self.labels, kind="stable")
         bounds = np.searchsorted(self.labels[order], np.arange(1, self.n_subgraphs + 2))
-        return [np.sort(order[bounds[k]:bounds[k + 1]]) for k in range(self.n_subgraphs)]
+        return [order[bounds[k]:bounds[k + 1]] for k in range(self.n_subgraphs)]
 
 
 # -- core operations -------------------------------------------------------

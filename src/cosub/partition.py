@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -113,9 +114,13 @@ def _local_moves(work: _WorkingGraph, rng: np.random.Generator) -> tuple[np.ndar
     moves queues its neighbours outside its new community that are not queued
     yet.  Ties in gain go to the smallest community id."""
     adj = work.adj
-    # Plain Python floats give the same IEEE sums as numpy scalars, at a
-    # fraction of the interpreter cost.
-    indptr, indices, data = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
+    # Plain Python numbers give the same IEEE sums as numpy scalars, at a
+    # fraction of the interpreter cost.  The entries stay in `array` buffers
+    # and become Python objects only while their node is visited, so the
+    # phase holds no object per adjacency entry.
+    indptr = adj.indptr.tolist()
+    indices = array("q", adj.indices.astype(np.int64).tobytes())
+    data = array("d", adj.data.astype(np.float64).tobytes())
     strength, total = work.strength.tolist(), float(work.strength.sum())
     comm = list(range(work.n))
     comm_tot = list(strength)

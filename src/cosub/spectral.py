@@ -274,13 +274,26 @@ def dual_basis(q: np.ndarray) -> np.ndarray:
     return _dual_bases(np.asarray(q, dtype=np.float64)[None])[0]
 
 
+def eigenbasis_stack(laplacians: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    """Eigenvalues, analysis and synthesis stacks of a (d, s, s) stack of
+    connected Laplacians, each bit-identical to decomposing its Laplacian
+    alone: one `_eigh_stack` and, for p=1, one stacked dual-basis solve.
+    The stacks are read-only, like the bases that are views of them."""
+    if p not in (1, 2):
+        raise ValueError("normalization exponent must be 1 or 2")
+    w, q = _eigh_stack(laplacians, p)
+    stacks = w, q, (q if p == 2 else _dual_bases(q))
+    for array in stacks:
+        array.flags.writeable = False
+    return stacks
+
+
 def local_eigenbases(laplacians, p: int) -> list[LocalEigenBasis]:
     """Analysis/synthesis eigenbases of many connected subgraph Laplacians.
 
     Byte-identical Laplacians are solved once and share one (read-only)
-    `LocalEigenBasis`.  The distinct ones are grouped by size; each size
-    class gets one stacked `_eigh_stack` and, for p=1, one stacked dual-basis
-    solve.  Every basis is bit-identical to decomposing its Laplacian alone.
+    `LocalEigenBasis`.  The distinct ones are grouped by size, and each size
+    class goes through one `eigenbasis_stack`.
     """
     if p not in (1, 2):
         raise ValueError("normalization exponent must be 1 or 2")
@@ -299,8 +312,7 @@ def local_eigenbases(laplacians, p: int) -> list[LocalEigenBasis]:
         classes.setdefault(len(lap), []).append(slot)
     bases: list[LocalEigenBasis] = [None] * len(distinct)
     for members in classes.values():
-        w, q = _eigh_stack(np.stack([distinct[s] for s in members]), p)
-        synthesis = q if p == 2 else _dual_bases(q)
+        w, q, synthesis = eigenbasis_stack(np.stack([distinct[s] for s in members]), p)
         for j, slot in enumerate(members):
             bases[slot] = LocalEigenBasis(eigenvalues=w[j], analysis=q[j],
                                           synthesis=synthesis[j], p=p)

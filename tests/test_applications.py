@@ -1,9 +1,13 @@
 """Compression, denoising and the quality metrics."""
 
 import math
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph,
                    analyze_cascade, best_level_nla, compression_ratio, denoise,
@@ -45,6 +49,15 @@ class TestMetrics:
     def test_compression_ratio_negative_count_rejected(self, kept_lp, kept_hp):
         with pytest.raises(ValueError, match="non-negative"):
             compression_ratio(10, kept_lp, kept_hp)
+
+
+@lru_cache(maxsize=1)
+def two_level_pyramid():
+    g = sbm_graph([8, 8, 8], 0.7, 0.1, 3)
+    pyramid = analyze_cascade(g, np.arange(g.n, dtype=float), PartitionConfig("sc", seed=0),
+                              p=1, max_levels=2)
+    assert pyramid.num_levels == 2
+    return pyramid
 
 
 class TestNlaCompress:
@@ -90,6 +103,27 @@ class TestNlaCompress:
         pyramid = self.toy_pyramid(toy_graph, toy_partition, np.zeros(5))
         with pytest.raises(ValueError, match="keep_hp"):
             nla_compress(pyramid, 100)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_stable_argsort(self, data):
+        # Details drawn from a few integers and both zeros give heavy
+        # magnitude ties; they must be resolved as a stable argsort of -|d|
+        # in (level, channel, index) order resolves them.
+        pyramid = two_level_pyramid()
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0])
+        levels = [replace(level, channels=[level.channels[0]] + [
+            np.array(data.draw(st.lists(values, min_size=len(c), max_size=len(c))))
+            for c in level.channels[1:]]) for level in pyramid.levels]
+        pyramid = replace(pyramid, levels=levels)
+        details = np.concatenate([c for level in levels for c in level.channels[1:]])
+        keep = data.draw(st.sampled_from([0, len(details)]) | st.integers(0, len(details)))
+        want = np.zeros_like(details)
+        top = np.argsort(-np.abs(details), kind="stable")[:keep]
+        want[top] = details[top]
+        kept = nla_compress(pyramid, keep)
+        got = np.concatenate([c for level in kept.levels for c in level.channels[1:]])
+        assert got.tobytes() == want.tobytes()
 
     def test_psnr_monotone_in_keep(self):
         g = sbm_graph([20, 20, 20], 0.5, 0.03, 11)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
@@ -10,7 +10,7 @@ from conftest import graphs_equal
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph,
                    analyze_cascade, analyze_level, biorthogonality_residual,
                    build_operators, compute_atoms, connected_components,
-                   haar_partition, laplacian, line_graph, local_eigenbasis,
+                   grid_graph, haar_partition, laplacian, line_graph, local_eigenbasis,
                    partition_is_connected, sbm_graph, split_adjacency,
                    stacked_analysis, synthesize_cascade, synthesize_level)
 
@@ -155,6 +155,99 @@ class TestDistinctBlocks:
         for i in range(len(laps)):
             for j in range(i):
                 assert (bases[i] is bases[j]) == (keys[i] == keys[j])
+
+
+def assert_stacked_products_match_blocks(graph, part, ops, x):
+    """Channels and reconstruction against each block's own products, bit
+    for bit: `basis.analysis.T @ x[nodes]` and `basis.synthesis @ c`."""
+    channels, _ = analyze_level(x, graph, ops, ops.a_ext)
+    flat = np.concatenate(channels)
+    coeffs, rebuilt = np.empty(graph.n), np.empty(graph.n)
+    # Channel-order positions of each block's coefficients, mode 1 first.
+    where = np.split(np.argsort(ops.order), np.cumsum(part.sizes)[:-1])
+    for nodes, basis, at in zip(ops.node_lists, ops.bases, where):
+        coeffs[at] = basis.analysis.T @ x[nodes]
+        rebuilt[nodes] = basis.synthesis @ flat[at]
+    assert flat.tobytes() == coeffs.tobytes()
+    assert synthesize_level(channels, ops).tobytes() == rebuilt.tobytes()
+
+
+class TestStackedProducts:
+    @settings(max_examples=150, deadline=None)
+    @given(case=tiled_grids(), p=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_equal_to_per_block_products(self, case, p, seed):
+        # Depending on the drawn weights, the blocks of a size class all
+        # share one basis, all have their own, or mix both.
+        graph, part = case
+        assume(partition_is_connected(graph, part))
+        ops = build_operators(graph, part, p)
+        x = np.random.default_rng(seed).normal(size=graph.n)
+        assert_stacked_products_match_blocks(graph, part, ops, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=tiled_grids(), p=st.sampled_from([1, 2]))
+    def test_classes_hold_each_distinct_basis_once(self, case, p):
+        graph, part = case
+        assume(partition_is_connected(graph, part))
+        ops = build_operators(graph, part, p)
+        assert [c.nodes.shape[1] for c in ops.classes] == sorted(set(part.sizes), reverse=True)
+        for c in ops.classes:
+            blocks = (part.labels[c.nodes[:, 0]] - 1).tolist()
+            assert len(c.analysis) == len({id(ops.bases[k]) for k in blocks})
+            for nodes, k, row in zip(c.nodes, blocks, c.rows.tolist()):
+                assert np.array_equal(nodes, ops.node_lists[k])
+                assert np.shares_memory(ops.bases[k].analysis, c.analysis)
+                assert ops.bases[k].analysis.tobytes() == c.analysis[row].tobytes()
+                assert ops.bases[k].synthesis.tobytes() == c.synthesis[row].tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_each_kind_of_size_class(self, p):
+        # A 2x8 grid in 2x2 tiles.  Tiles 1 and 2 are equal, tile 3 doubles
+        # its weights and tile 4 triples them: one size class of four blocks
+        # with three distinct bases.  Unit weights make all four equal, and
+        # weights growing along the grid make all four distinct.
+        labels = [c // 2 + 1 for r in range(2) for c in range(8)]
+        idx = np.arange(16).reshape(2, 8)
+        u = np.concatenate([idx[:, :-1], idx[:-1]], axis=None)
+        v = np.concatenate([idx[:, 1:], idx[1:]], axis=None)
+        tile = np.maximum(u % 8 // 2 - 1, 0) + 1.0
+        for weights, rows in ((tile, [0, 0, 1, 2]), (np.ones(len(u)), [0, 0, 0, 0]),
+                              (1.0 + u + 0.5 * v, [0, 1, 2, 3])):
+            graph = WeightedGraph.from_edges(16, zip(u, v, weights))
+            part = SubgraphPartition.from_labels(labels)
+            ops = build_operators(graph, part, p)
+            (tiles,) = ops.classes
+            assert tiles.rows.tolist() == rows
+            assert tiles.analysis.shape == (max(rows) + 1, 4, 4)
+            x = np.random.default_rng(3).normal(size=16)
+            assert_stacked_products_match_blocks(graph, part, ops, x)
+
+    def test_shared_tiles_are_not_copied(self):
+        # 12x12 grid in 4x4 tiles: nine byte-identical blocks, one stored basis.
+        labels = [(r // 4) * 3 + c // 4 + 1 for r in range(12) for c in range(12)]
+        ops = build_operators(grid_graph(12, 12), SubgraphPartition.from_labels(labels), p=1)
+        (tiles,) = ops.classes
+        assert tiles.analysis.shape == tiles.synthesis.shape == (1, 16, 16)
+        assert tiles.per_block(tiles.analysis) is tiles.analysis
+        assert not tiles.analysis.flags.writeable and not tiles.synthesis.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=tiled_grids(), p=st.sampled_from([1, 2]))
+    def test_channel_matrices_are_column_ranges_of_the_stack(self, case, p):
+        graph, part = case
+        assume(partition_is_connected(graph, part))
+        ops = build_operators(graph, part, p)
+        for field, single in (("analysis", ops.analysis_matrix),
+                              ("synthesis", ops.synthesis_matrix),
+                              (None, ops.grouping_matrix)):
+            stacked = ops._stacked(field)
+            for l in range(1, ops.n_channels + 1):
+                want = stacked[:, ops.offsets[l - 1]:ops.offsets[l]]
+                got = single(l)
+                assert got.shape == want.shape
+                for attr in ("data", "indices", "indptr"):
+                    assert getattr(got, attr).dtype == getattr(want, attr).dtype
+                    assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
 
 
 class TestAnalyzeSynthesizeLevel:

@@ -207,6 +207,18 @@ class TestLaplacian:
         assert np.sum(np.abs(w) < 1e-8) == 1
 
 
+class TestNodeLists:
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(1, 12), min_size=1, max_size=60))
+    def test_equal_to_members(self, labels):
+        part = SubgraphPartition.compact(labels)
+        lists = part.node_lists()
+        assert len(lists) == part.n_subgraphs
+        for k, nodes in enumerate(lists, start=1):
+            want = part.members(k)
+            assert nodes.dtype == want.dtype and nodes.tolist() == want.tolist()
+
+
 class TestSplitAdjacency:
     def test_toy_split(self, toy_graph, toy_partition):
         a_int, a_ext = split_adjacency(toy_graph, toy_partition)
