@@ -30,7 +30,7 @@ def write_edge_list(graph: WeightedGraph, path) -> None:
 def read_edge_list(path, n: int | None = None) -> WeightedGraph:
     """Parse an edge-list TSV: 0-based indices, optional weight (default 1),
     '#' comment lines.  Duplicate unordered pairs are rejected."""
-    edges = []
+    us, vs, ws = [], [], []
     header_n = None
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -44,18 +44,18 @@ def read_edge_list(path, n: int | None = None) -> WeightedGraph:
         parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) not in (2, 3):
             raise ValueError(f"{path}:{lineno}: expected 'u v [w]'")
-        u, v = int(parts[0]), int(parts[1])
-        w = float(parts[2]) if len(parts) == 3 else 1.0
-        edges.append((u, v, w))
+        us.append(int(parts[0]))
+        vs.append(int(parts[1]))
+        ws.append(float(parts[2]) if len(parts) == 3 else 1.0)
     if n is None:
         n = header_n
     if n is None:
-        if not edges:
+        if not us:
             raise ValueError(f"{path}: empty edge list with unknown node count")
-        n = max(max(u, v) for u, v, _ in edges) + 1
+        n = max(max(us), max(vs)) + 1
     if n > MAX_NODES:
         raise ValueError(f"{path}: {n} nodes exceed the maximum of {MAX_NODES}")
-    return WeightedGraph.from_edges(n, edges)
+    return WeightedGraph._checked(n, us, vs, ws)
 
 
 def write_signal(values, path) -> None:

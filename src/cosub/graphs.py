@@ -356,39 +356,43 @@ def grid_graph(rows: int, cols: int) -> WeightedGraph:
 
 
 def sbm_graph(block_sizes, p_in: float, p_out: float, seed: int) -> WeightedGraph:
-    """Stochastic block model with unit weights, deterministic given the seed."""
+    """Stochastic block model with unit weights, deterministic given the seed.
+
+    Blocks are contiguous node ranges in the given order.  The graph for a
+    seed is fixed by the order in which the generator is consumed: one uniform
+    per within-block pair (u < v), block by block and row-major inside each
+    block, unless `p_in` is 0 or 1; then, for the cross-block pairs, either
+    one uniform per pair in row-major order over all nodes (at most 2,000,000
+    cross pairs, or `p_out` 1 with no draws) or a binomial edge count followed
+    by rejection-sampled pairs.  Memory is linear in the within-block pairs
+    and the edges drawn; no table of all node pairs is built.
+    """
     sizes = [int(s) for s in block_sizes]
     if not sizes or min(sizes) < 1:
         raise ValueError("block sizes must be positive")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ValueError("need 0 <= p_out <= p_in <= 1")
     rng = np.random.default_rng(seed)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    size = np.asarray(sizes, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(size)])
     n = int(offsets[-1])
     block_of = np.repeat(np.arange(len(sizes)), sizes)
 
-    us, vs = [], []
-    for b, s in enumerate(sizes):
-        if s < 2 or p_in == 0.0:
-            continue
-        iu, iv = np.triu_indices(s, k=1)
-        if p_in < 1.0:
-            mask = rng.random(len(iu)) < p_in
-            iu, iv = iu[mask], iv[mask]
-        us.append(iu + offsets[b])
-        vs.append(iv + offsets[b])
-
+    us, vs = _within_block_pairs(size, offsets, p_in, rng)
     cross_pairs = (n * (n - 1)) // 2 - sum(s * (s - 1) // 2 for s in sizes)
     if cross_pairs > 0 and p_out > 0.0:
         if p_out == 1.0 or cross_pairs <= 2_000_000:
-            iu, iv = np.triu_indices(n, k=1)
-            mask = block_of[iu] != block_of[iv]
-            iu, iv = iu[mask], iv[mask]
-            if p_out < 1.0:
-                keep = rng.random(len(iu)) < p_out
-                iu, iv = iu[keep], iv[keep]
-            us.append(iu)
-            vs.append(iv)
+            # Row i's cross-block columns are exactly offsets[b(i) + 1] .. n-1,
+            # so the k-th cross pair in row-major order lies in the first row
+            # whose running count exceeds k, and ends[row] - k columns before n.
+            ends = np.cumsum(n - offsets[1:][block_of])
+            for start in range(0, cross_pairs, _CROSS_CHUNK):
+                m = min(_CROSS_CHUNK, cross_pairs - start)
+                k = (np.arange(start, start + m) if p_out == 1.0
+                     else start + np.flatnonzero(rng.random(m) < p_out))
+                row = np.searchsorted(ends, k, side="right")
+                us.append(row)
+                vs.append(n - ends[row] + k)
         else:
             # Large sparse regime: draw the edge count, then rejection-sample
             # distinct cross-block pairs.  A batch accepts, in draw order, the
@@ -410,3 +414,32 @@ def sbm_graph(block_sizes, p_in: float, p_out: float, seed: int) -> WeightedGrap
 
     u, v = (np.concatenate(us), np.concatenate(vs)) if us else ([], [])
     return WeightedGraph._checked(n, u, v, np.ones(len(u)))
+
+
+# Uniforms drawn at a time for the cross-block pairs of the dense regime.
+_CROSS_CHUNK = 1 << 17
+
+
+def _within_block_pairs(size, offsets, p_in, rng):
+    """Lists of u and v arrays of the kept within-block pairs, one entry per
+    distinct block size.  The pairs of all blocks are laid out in block order
+    and row-major within a block, and one `rng.random` draw covers them all."""
+    pairs = size * (size - 1) // 2
+    total = int(pairs.sum())
+    if total == 0 or p_in == 0.0:
+        return [], []
+    keep = rng.random(total) < p_in if p_in < 1.0 else None
+    starts = np.cumsum(pairs) - pairs
+    us, vs = [], []
+    for s in np.unique(size[size > 1]).tolist():
+        blocks = np.flatnonzero(size == s)
+        iu, iv = np.triu_indices(s, k=1)
+        base = offsets[blocks][:, None]
+        if keep is None:
+            us.append((iu + base).ravel())
+            vs.append((iv + base).ravel())
+            continue
+        kept = keep[starts[blocks][:, None] + np.arange(len(iu))]
+        us.append((iu + base)[kept])
+        vs.append((iv + base)[kept])
+    return us, vs

@@ -1,5 +1,7 @@
 """Graph construction, Laplacians, splitting, coarsening, generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,25 @@ class TestCheckedEntry:
             for seed in (0, 3):
                 assert (outcome(sbm_graph, sizes, p_in, p_out, seed)
                         == outcome(oracle.sbm_graph, sizes, p_in, p_out, seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), sizes=st.lists(st.integers(1, 12) | st.just(1), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sbm_graph_matches_the_oracle(self, data, sizes, seed):
+        """Same graph per seed in the dense cross regime (and with no draws at
+        p 0 or 1): the rng is consumed in the oracle's order."""
+        p_in = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        p_out = data.draw(st.sampled_from([0.0, p_in]) | st.floats(0.0, p_in)
+                          | st.sampled_from([1.0]))
+        assert (outcome(sbm_graph, sizes, p_in, p_out, seed)
+                == outcome(oracle.sbm_graph, sizes, p_in, p_out, seed))
+
+    @pytest.mark.parametrize("sizes", [[1000, 2000], [1, 1000, 1999]],
+                             ids=["2000000-cross-dense", "2001999-cross-sparse"])
+    def test_sbm_graph_matches_the_oracle_at_the_regime_switch(self, sizes):
+        for seed in (0, 5):
+            assert (outcome(sbm_graph, sizes, 0.002, 0.001, seed)
+                    == outcome(oracle.sbm_graph, sizes, 0.002, 0.001, seed))
 
     @pytest.mark.parametrize("edges", [[(0, 1.7), (1.2, 2)], [(0, 1), (1, 2, 2.0), (2.5, 0)],
                                        [(0, np.float64(1.5))], [(0, 1), (np.nan, 2)]])
@@ -410,6 +431,21 @@ class TestGenerators:
         # The cases cover a count reached inside a batch and several batches.
         assert stats["mid_batch"] > 0
         assert max(stats["batches"]) > 1
+
+    @pytest.mark.parametrize("args, limit_mb", [(([20] * 100, 0.7, 0.002, 1), 8.0),
+                                                (([20] * 250, 0.7, 0.0008, 1), 6.0)],
+                             ids=["2000-dense", "5000-sparse"])
+    def test_sbm_memory_is_linear(self, args, limit_mb):
+        """No table of all node pairs: a table of the 2,000-node graph's
+        1,999,000 pairs alone took over 60 MB."""
+        sbm_graph(*args)
+        tracemalloc.start()
+        try:
+            sbm_graph(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
 
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(ValueError):
