@@ -359,13 +359,15 @@ def sbm_graph(block_sizes, p_in: float, p_out: float, seed: int) -> WeightedGrap
     """Stochastic block model with unit weights, deterministic given the seed.
 
     Blocks are contiguous node ranges in the given order.  The graph for a
-    seed is fixed by the order in which the generator is consumed: one uniform
-    per within-block pair (u < v), block by block and row-major inside each
-    block, unless `p_in` is 0 or 1; then, for the cross-block pairs, either
-    one uniform per pair in row-major order over all nodes (at most 2,000,000
-    cross pairs, or `p_out` 1 with no draws) or a binomial edge count followed
-    by rejection-sampled pairs.  Memory is linear in the within-block pairs
-    and the edges drawn; no table of all node pairs is built.
+    seed is fixed by the order in which the generator is consumed:
+    - one uniform per within-block pair (u < v), in block order and row-major
+      inside each block (no draws when `p_in` is 0 or 1);
+    - then, with at most 2,000,000 cross-block pairs, one uniform per cross
+      pair in row-major order over all nodes (no draws when `p_out` is 0 or 1,
+      and `p_out` 1 takes this path at any size);
+    - otherwise a binomial edge count, then rejection-sampled cross pairs.
+    Time is linear in the pairs given a uniform, memory in the within-block
+    pairs and the edges kept: no table of all node pairs is built.
     """
     sizes = [int(s) for s in block_sizes]
     if not sizes or min(sizes) < 1:
@@ -378,8 +380,9 @@ def sbm_graph(block_sizes, p_in: float, p_out: float, seed: int) -> WeightedGrap
     n = int(offsets[-1])
     block_of = np.repeat(np.arange(len(sizes)), sizes)
 
-    us, vs = _within_block_pairs(size, offsets, p_in, rng)
-    cross_pairs = (n * (n - 1)) // 2 - sum(s * (s - 1) // 2 for s in sizes)
+    within_pairs = sum(s * (s - 1) // 2 for s in sizes)
+    us, vs = _within_block_pairs(size, offsets, within_pairs, p_in, rng)
+    cross_pairs = (n * (n - 1)) // 2 - within_pairs
     if cross_pairs > 0 and p_out > 0.0:
         if p_out == 1.0 or cross_pairs <= 2_000_000:
             # Row i's cross-block columns are exactly offsets[b(i) + 1] .. n-1,
@@ -420,12 +423,11 @@ def sbm_graph(block_sizes, p_in: float, p_out: float, seed: int) -> WeightedGrap
 _CROSS_CHUNK = 1 << 17
 
 
-def _within_block_pairs(size, offsets, p_in, rng):
+def _within_block_pairs(size, offsets, total, p_in, rng):
     """Lists of u and v arrays of the kept within-block pairs, one entry per
-    distinct block size.  The pairs of all blocks are laid out in block order
-    and row-major within a block, and one `rng.random` draw covers them all."""
+    distinct block size.  The `total` pairs of all blocks are laid out in block
+    order and row-major within a block, and one `rng.random` draw covers them."""
     pairs = size * (size - 1) // 2
-    total = int(pairs.sum())
     if total == 0 or p_in == 0.0:
         return [], []
     keep = rng.random(total) < p_in if p_in < 1.0 else None
