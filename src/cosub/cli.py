@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -91,28 +92,55 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _detect_partitions(args):
-    """The detection settings, or a supply of the fixed partition files: all
-    are read up front, and each is checked against the graph of the level
-    that applies it."""
-    if not args.partition:
-        return _partition_config(args)
-    fixed = iter([(path, _read("partition", fileio.read_partition, path,
-                               zero_based=args.zero_based_labels))
-                  for path in args.partition])
+class _FixedPartitions:
+    """The fixed partition files as a cascade supply, one per level: all are
+    read up front, and each one's label count is checked against the graph
+    of the level that applies it.  Connectivity is left to `build_operators`,
+    which splits each level's graph once; `_named_failures` names the file
+    when that level fails."""
 
-    def supply(graph, signal):
-        path, partition = next(fixed, (None, None))
+    def __init__(self, args):
+        self._fixed = iter([(path, _read("partition", fileio.read_partition, path,
+                                         zero_based=args.zero_based_labels))
+                            for path in args.partition])
+        self.last = None    # the (graph, partition, path) handed out last
+
+    def __call__(self, graph, signal):
+        path, partition = next(self._fixed, (None, None))
         if partition is not None:
-            _check_partition(graph, partition, f"partition file {path}")
+            _check_label_count(graph, partition, f"partition file {path}")
+            self.last = graph, partition, path
         return partition
 
-    return supply
+
+def _detect_partitions(args):
+    """The detection settings, or the supply of the fixed partition files."""
+    if not args.partition:
+        return _partition_config(args)
+    return _FixedPartitions(args)
+
+
+@contextmanager
+def _named_failures(partitions):
+    """Run a cascade; when it fails with a ValueError after a fixed partition
+    file was handed out, a file that does not fit its level's graph is named
+    (exit 2).  Any other ValueError propagates as it is."""
+    try:
+        yield
+    except ValueError:
+        if isinstance(partitions, _FixedPartitions) and partitions.last is not None:
+            graph, partition, path = partitions.last
+            _check_partition(graph, partition, f"partition file {path}")
+        raise
+
+
+def _check_label_count(graph, partition, what: str) -> None:
+    if partition.n != graph.n:
+        raise CliError(f"{what} has {partition.n} labels, graph has {graph.n} nodes")
 
 
 def _check_partition(graph, partition, what: str) -> None:
-    if partition.n != graph.n:
-        raise CliError(f"{what} has {partition.n} labels, graph has {graph.n} nodes")
+    _check_label_count(graph, partition, what)
     if not partition_is_connected(graph, partition):
         raise CliError(f"{what} has a disconnected subgraph")
 
@@ -149,7 +177,8 @@ def cmd_analyze(args) -> int:
     signal = _load_signal(args.signal, graph.n)
     partitions = _detect_partitions(args)
     p = _norm_exponent(args.norm)
-    pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
+    with _named_failures(partitions):
+        pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     level_entries, final_name = _analysis_artifacts(pyramid, outdir, args.zero_based_labels)
@@ -266,7 +295,8 @@ def cmd_compress(args) -> int:
     partitions = _detect_partitions(args)
     p = _norm_exponent(args.norm)
     keep = _parse_keep_hp(args.keep_hp)
-    pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
+    with _named_failures(partitions):
+        pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
     if pyramid.num_levels == 0:
         raise CliError("cascade produced no level (graph too small or no progress)")
     result, reconstruction = best_depth_nla(pyramid, signal, keep)
@@ -287,7 +317,8 @@ def cmd_denoise(args) -> int:
     noisy = _load_signal(args.signal, graph.n)
     partitions = _detect_partitions(args)
     p = _norm_exponent(args.norm)
-    cleaned = denoise(graph, noisy, args.sigma, args.levels, partitions, p=p)
+    with _named_failures(partitions):
+        cleaned = denoise(graph, noisy, args.sigma, args.levels, partitions, p=p)
     fileio.write_signal(cleaned, args.out)
     print(f"denoised {len(cleaned)} values -> {args.out}")
     return EXIT_OK
@@ -304,7 +335,8 @@ def cmd_atoms(args) -> int:
         signal = np.zeros(graph.n)
     partitions = _detect_partitions(args)
     p = _norm_exponent(args.norm)
-    pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
+    with _named_failures(partitions):
+        pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
     atoms = compute_atoms(pyramid)
     lines = ["level,channel,subgraph,node,value"]
     for j, level in enumerate(pyramid.levels, start=1):

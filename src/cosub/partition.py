@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from array import array
-from collections import deque
+from collections import _count_elements, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +23,9 @@ class PartitionConfig:
 
     variant "sc" runs the local-move phase exactly once and yields small
     communities; "lc" iterates move/aggregate rounds and stops before any
-    community exceeds `tau` original nodes.  `seed` fixes the initial queue
-    order of the local moves; `edge_aware` asks pipelines to reweight the
-    adjacency from the signal before detection.
+    community exceeds `tau` original nodes.  `seed` (non-negative) fixes the
+    initial queue order of the local moves; `edge_aware` asks pipelines to
+    reweight the adjacency from the signal before detection.
     """
 
     variant: str = "sc"
@@ -38,6 +38,8 @@ class PartitionConfig:
             raise ValueError("variant must be 'sc' or 'lc'")
         if self.variant == "lc" and self.tau < 2:
             raise ValueError("tau must be at least 2 for the lc variant")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def modularity(graph: WeightedGraph, partition: SubgraphPartition) -> float:
@@ -118,6 +120,11 @@ def _local_moves(work: _WorkingGraph, rng: np.random.Generator) -> tuple[np.ndar
     # fraction of the interpreter cost.  The entries stay in `array` buffers
     # and become Python objects only while their node is visited, so the
     # phase holds no object per adjacency entry.
+    # With unit weights a row's link weight to a community is its neighbour
+    # count there, which `collections`' C counting kernel gives exactly (an
+    # int below 2**53 is the float sum of that many 1.0s), in the same
+    # first-seen order.  Any other weight keeps the ordered float sum.
+    unit = bool(np.all(adj.data == 1.0))
     indptr = adj.indptr.tolist()
     indices = array("q", adj.indices.astype(np.int64).tobytes())
     data = array("d", adj.data.astype(np.float64).tobytes())
@@ -133,20 +140,22 @@ def _local_moves(work: _WorkingGraph, rng: np.random.Generator) -> tuple[np.ndar
         start, stop = indptr[i], indptr[i + 1]
         if start == stop:
             continue
+        row = indices[start:stop]
         links: dict[int, float] = {}
-        for j, w in zip(indices[start:stop], data[start:stop]):
-            c = comm[j]
-            links[c] = links.get(c, 0.0) + w
+        if unit:
+            _count_elements(links, map(comm.__getitem__, row))
+        else:
+            for j, w in zip(row, data[start:stop]):
+                c = comm[j]
+                links[c] = links.get(c, 0.0) + w
         old = comm[i]
         d_i = strength[i]
         comm_tot[old] -= d_i
-        base = links.get(old, 0.0) - d_i * comm_tot[old] / total
+        base = links.pop(old, 0.0) - d_i * comm_tot[old] / total
         # Strict improvement, exact ties to the smallest id: the same
         # choice as a strict scan in ascending candidate order.
         best_c, best_gain = old, GAIN_EPS
         for c, link in links.items():
-            if c == old:
-                continue
             gain = link - d_i * comm_tot[c] / total - base
             if gain > best_gain or (gain == best_gain and best_c != old and c < best_c):
                 best_c, best_gain = c, gain
@@ -154,7 +163,7 @@ def _local_moves(work: _WorkingGraph, rng: np.random.Generator) -> tuple[np.ndar
         comm_tot[best_c] += d_i
         if best_c != old:
             improved = True
-            for j in indices[start:stop]:
+            for j in row:
                 if not queued[j] and comm[j] != best_c:
                     queued[j] = True
                     queue.append(j)

@@ -26,6 +26,21 @@ def toy_files(tmp_path, toy_graph, toy_partition):
             "p1": part1_path, "p2": part2_path, "dir": tmp_path}
 
 
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The node count of every graph that `split_adjacency` splits."""
+    import cosub.filterbank
+    import cosub.graphs
+
+    calls = []
+    for module in (cosub.graphs, cosub.filterbank):
+        def counted(graph, partition, _split=module.split_adjacency):
+            calls.append(graph.n)
+            return _split(graph, partition)
+        monkeypatch.setattr(module, "split_adjacency", counted)
+    return calls
+
+
 class TestFileFormats:
     def test_edge_list_round_trip(self, tmp_path, toy_graph):
         path = tmp_path / "g.tsv"
@@ -234,22 +249,42 @@ class TestAnalyzeSynthesize:
         assert np.abs(fileio.read_signal(rec)
                       - fileio.read_signal(toy_files["signal"])).max() < 1e-9
 
-    def test_synthesize_splits_each_level_once(self, toy_files, monkeypatch):
-        import cosub.filterbank
-        import cosub.graphs
-
+    def test_synthesize_splits_each_level_once(self, toy_files, request):
         outdir = toy_files["dir"] / "run"
         assert self.run_analyze(toy_files, outdir) == 0
-        calls = []
-        for module in (cosub.graphs, cosub.filterbank):
-            def counted(graph, partition, _split=module.split_adjacency):
-                calls.append(graph.n)
-                return _split(graph, partition)
-            monkeypatch.setattr(module, "split_adjacency", counted)
+        calls = request.getfixturevalue("split_calls")
         code = main(["synthesize", "--manifest", str(outdir / "manifest.json"),
                      "--out", str(toy_files["dir"] / "rec.csv")])
         assert code == 0
         assert calls == [5, 2]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("analyze", ["--signal", "SIGNAL", "--outdir", "OUT"]),
+        ("compress", ["--signal", "SIGNAL", "--keep-hp", "1", "--out", "OUT"]),
+        ("denoise", ["--signal", "SIGNAL", "--sigma", "0.1", "--out", "OUT"]),
+        ("atoms", ["--out", "OUT"]),
+    ])
+    def test_fixed_partitions_split_each_level_once(self, toy_files, split_calls,
+                                                    command, extra):
+        paths = {"SIGNAL": str(toy_files["signal"]), "OUT": str(toy_files["dir"] / "out")}
+        code = main([command, "--graph", str(toy_files["graph"]),
+                     "--partition", str(toy_files["p1"]),
+                     "--partition", str(toy_files["p2"]), "--levels", "2",
+                     *[paths.get(a, a) for a in extra]])
+        assert code == 0
+        assert split_calls == [5, 2]
+
+    def test_other_cascade_error_stays_numeric(self, toy_files, capsys, monkeypatch):
+        # A level whose fixed partition fits its graph and that still fails
+        # is not blamed on the partition file.
+        import cosub.filterbank
+
+        def failing(*args):
+            raise ValueError("level failed")
+        monkeypatch.setattr(cosub.filterbank, "analyze_level", failing)
+        code = self.run_analyze(toy_files, toy_files["dir"] / "run")
+        assert code == 3
+        assert capsys.readouterr().err == "error: level failed\n"
 
     def test_missing_channel_file_fails(self, toy_files, capsys):
         outdir = toy_files["dir"] / "run"
@@ -476,6 +511,21 @@ class TestArgumentsRejectedAtEntry:
             args += ["--levels", "1", "--outdir", str(toy_files["dir"] / "r")]
         assert main([command, *args]) == 2
         assert "tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("partition", ["--method", "cosub", "--impl", "sc", "--out", "p.txt"]),
+        ("analyze", ["--levels", "1", "--outdir", "r"]),
+        ("compress", ["--levels", "1", "--keep-hp", "1", "--out", "c.csv"]),
+        ("denoise", ["--levels", "1", "--sigma", "0.1", "--out", "d.csv"]),
+        ("atoms", ["--levels", "1", "--out", "a.csv"]),
+    ])
+    def test_negative_seed(self, toy_files, capsys, monkeypatch, command, extra):
+        monkeypatch.chdir(toy_files["dir"])
+        code = main([command, "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]), "--seed", "-1", *extra])
+        assert code == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (toy_files["dir"] / extra[-1]).exists()
 
     def test_metrics_nothing_kept(self, toy_files, capsys):
         code = main(["metrics", "--reference", str(toy_files["signal"]),

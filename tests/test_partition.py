@@ -1,5 +1,6 @@
 """Modularity, greedy detection (SC/LC), edge-aware weights, Haar pairs."""
 
+import collections
 from unittest import mock
 
 import numpy as np
@@ -122,6 +123,12 @@ class TestPartitionConfig:
     def test_variant_validation(self):
         with pytest.raises(ValueError, match="variant"):
             PartitionConfig(variant="xl")
+
+    @pytest.mark.parametrize("variant", ["sc", "lc"])
+    def test_negative_seed_rejected(self, variant):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            PartitionConfig(variant=variant, seed=-1)
+        assert PartitionConfig(variant=variant, seed=0).seed == 0
 
 
 class TestEdgeAware:
@@ -432,6 +439,57 @@ class TestLocalMovesMatchOracle:
                 with mock.patch("cosub.partition._local_moves", oracle_local_moves):
                     sweep_q.append(modularity(g, louvain(g, config)))
             assert np.mean(queue_q) >= 0.99 * np.mean(sweep_q), variant
+
+
+@st.composite
+def dense_unit_sbms(draw):
+    """Unit-weight SBMs of 100-300 nodes in blocks of 25-50 whose rows mostly
+    hold 15 or more entries: larger and denser rows than `block_graphs`."""
+    sizes = draw(st.lists(st.integers(25, 50), min_size=4, max_size=6))
+    p_in = draw(st.sampled_from([0.7, 0.85, 1.0]))
+    p_out = draw(st.sampled_from([0.005, 0.02, 0.05]))
+    return sbm_graph(sizes, p_in, p_out, draw(st.integers(0, 2**16)))
+
+
+def with_one_weight(graph: WeightedGraph, k: int, weight: float) -> WeightedGraph:
+    u, v, w = graph.edge_arrays()
+    w = w.copy()
+    w[k % len(w)] = weight
+    return WeightedGraph(graph.n, u, v, w)
+
+
+class TestCountedRows:
+    """Unit-weight rows are counted (`_count_elements`); any other weight in
+    the working graph sends every row through the ordered float sum.  Both
+    paths must reproduce `oracle_queue_local_moves` bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(graph=dense_unit_sbms(), seed=st.integers(0, 2**16), k=st.integers(0, 2**16))
+    def test_local_moves_bit_identical_on_both_paths(self, graph, seed, k):
+        assert np.median(np.diff(graph.adjacency.indptr)) >= 15
+        cases = [(graph, True)]
+        cases += [(with_one_weight(graph, k, w), False) for w in (2.0, np.nextafter(1.0, 2.0))]
+        for g, counted in cases:
+            work = _WorkingGraph.from_graph(g)
+            with mock.patch("cosub.partition._count_elements",
+                            wraps=collections._count_elements) as count:
+                comm, improved = _local_moves(work, np.random.default_rng(seed))
+            assert count.called == counted
+            ref, ref_improved = oracle_queue_local_moves(work, np.random.default_rng(seed))
+            assert np.array_equal(comm, ref) and improved == ref_improved
+
+    @settings(max_examples=15, deadline=None)
+    @given(graph=dense_unit_sbms(), seed=st.integers(0, 2**16),
+           tau=st.sampled_from([30, 120, 1000]))
+    def test_lc_labels_match_oracle(self, graph, seed, tau):
+        # The first round counts; the aggregated rounds carry merged weights
+        # and take the float path.
+        config = PartitionConfig("lc", tau=tau, seed=seed)
+        labels = louvain(graph, config).labels
+        with mock.patch.multiple("cosub.partition", _local_moves=oracle_queue_local_moves,
+                                 _split_disconnected=oracle_split_disconnected):
+            expected = louvain(graph, config).labels
+        assert np.array_equal(labels, expected)
 
 
 class TestLouvainProperties:
