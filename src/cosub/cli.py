@@ -184,7 +184,7 @@ def cmd_analyze(args) -> int:
     level_entries, final_name = _analysis_artifacts(pyramid, outdir, args.zero_based_labels)
     manifest = {
         "format_version": MANIFEST_VERSION,
-        "command": sys.argv[1:],
+        "command": args.argv,
         "inputs": {
             "graph": {"path": str(args.graph), "sha256": fileio.sha256_file(args.graph)},
             "signal": {"path": str(args.signal), "sha256": fileio.sha256_file(args.signal)},
@@ -233,6 +233,9 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
         raise CliError(f"malformed manifest: missing or invalid field {exc}") from exc
     if type(p) is not int or p not in (1, 2):
         raise CliError(f"malformed manifest: p must be 1 or 2, got {p!r}")
+    if type(zero_based) is not bool:
+        raise CliError(f"malformed manifest: zero_based_labels must be true or false, "
+                       f"got {zero_based!r}")
     levels = []
     for n, part_path, a_int_path, a_ext_path, chan_paths in entries:
         if type(n) is not int or n < 1:
@@ -449,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # what `analyze` records as the manifest's "command"
     try:
         return args.func(args)
     except CliError as exc:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -437,6 +438,30 @@ class TestAnalyzeSynthesize:
             manifest["p"] = 3
         assert self._tamper_and_synthesize(toy_files, tamper) == 2
         assert "p must be 1 or 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["no", "true", 0, 1, None],
+                             ids=["no", "true-string", "zero", "one", "null"])
+    def test_non_bool_zero_based_labels_is_usage_error(self, toy_files, capsys, flag):
+        def tamper(outdir, manifest):
+            manifest["zero_based_labels"] = flag
+        assert self._tamper_and_synthesize(toy_files, tamper) == 2
+        assert (f"malformed manifest: zero_based_labels must be true or false, got {flag!r}"
+                in capsys.readouterr().err)
+
+    def test_absent_zero_based_labels_reads_one_based(self, toy_files, capsys):
+        def tamper(outdir, manifest):
+            del manifest["zero_based_labels"]
+        assert self._tamper_and_synthesize(toy_files, tamper) == 0
+
+    def test_manifest_records_the_parsed_command(self, toy_files, monkeypatch):
+        """An in-process caller's own `sys.argv` is not the command that ran."""
+        monkeypatch.setattr(sys, "argv", ["host-program", "--unrelated", "flag"])
+        outdir = toy_files["dir"] / "run"
+        argv = ["analyze", "--graph", str(toy_files["graph"]),
+                "--signal", str(toy_files["signal"]), "--partition", str(toy_files["p1"]),
+                "--levels", "1", "--outdir", str(outdir)]
+        assert main(argv) == 0
+        assert json.loads((outdir / "manifest.json").read_text())["command"] == argv
 
     def test_final_approximation_length_mismatch_is_usage_error(self, toy_files, capsys):
         def tamper(outdir, manifest):
