@@ -135,7 +135,12 @@ def write_partition(partition: SubgraphPartition, path, zero_based: bool = False
 
 
 def read_partition(path, zero_based: bool = False) -> SubgraphPartition:
-    arr = np.asarray(_values(int, Path(path).read_text().splitlines()), dtype=np.int64)
+    labels = _values(int, Path(path).read_text().splitlines())
+    try:
+        arr = np.asarray(labels, dtype=np.int64)
+    except OverflowError:
+        big = next(x for x in labels if not -2**63 <= x < 2**63)
+        raise ValueError(f"{path}: label {big} is out of range") from None
     if zero_based:
         arr = arr + 1
     return SubgraphPartition.from_labels(arr)

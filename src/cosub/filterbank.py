@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,14 +19,17 @@ class SizeClass:
     """The subgraphs of one size s in a level, ascending by label: row i has
     the nodes `nodes[i]` (ascending) and the channel-order positions
     `positions[i]` of the s coefficients, mode 1 first.  Its basis is row
-    `rows[i]` of the read-only (d, s, s) `analysis` and `synthesis` stacks
-    of the class's d distinct bases, as `eigenbasis_stack` solved them."""
+    `rows[i]` of the read-only (d, s) `eigenvalues` and (d, s, s) `analysis`
+    and `synthesis` stacks of the class's d distinct bases, as
+    `eigenbasis_stack` solved them for the norm exponent `p`."""
 
     nodes: np.ndarray
     positions: np.ndarray
     rows: np.ndarray
+    eigenvalues: np.ndarray
     analysis: np.ndarray
     synthesis: np.ndarray
+    p: int
 
     def per_block(self, stack: np.ndarray) -> np.ndarray:
         """A stack lined up with the rows for a broadcasting `np.matmul`: as it
@@ -40,10 +44,9 @@ class LevelOperators:
     The subgraphs are stored by size, one `SizeClass` per size, largest
     first, so analysis and synthesis take one stacked product per class.
     Subgraphs with byte-identical Laplacians (equal local edges, see
-    `build_operators`) share one basis row.  `node_lists[k]` (the nodes of
-    subgraph k+1, ascending) and `bases[k]` (its `LocalEigenBasis`, views of
-    the stacks) are per-subgraph views for reading; subgraphs sharing a basis
-    row share one basis object.
+    `build_operators`) share one basis row.  `node_lists` and `bases` are
+    per-subgraph views for reading, built from the partition and the classes
+    on first read.
 
     Channel l collects the l-th local mode of every subgraph with at least l
     nodes, in ascending label order.  Concatenating the blocks' local
@@ -60,8 +63,6 @@ class LevelOperators:
     """
 
     partition: SubgraphPartition
-    node_lists: list
-    bases: list
     classes: tuple
     order: np.ndarray
     offsets: np.ndarray
@@ -79,6 +80,24 @@ class LevelOperators:
     @property
     def channel_sizes(self) -> list[int]:
         return np.diff(self.offsets).tolist()
+
+    @cached_property
+    def node_lists(self) -> list[np.ndarray]:
+        """`node_lists[k]`: the nodes of subgraph k+1, ascending."""
+        return self.partition.node_lists()
+
+    @cached_property
+    def bases(self) -> list[LocalEigenBasis]:
+        """`bases[k]`: the `LocalEigenBasis` of subgraph k+1, views of its
+        class's stacks.  One object per distinct basis row, which every
+        subgraph of that row shares."""
+        bases = [None] * self.partition.n_subgraphs
+        for c in self.classes:
+            shared = [LocalEigenBasis(*parts, p=c.p)
+                      for parts in zip(c.eigenvalues, c.analysis, c.synthesis)]
+            for first, row in zip(c.nodes[:, 0].tolist(), c.rows.tolist()):
+                bases[self.partition.labels[first] - 1] = shared[row]
+        return bases
 
     @property
     def index_lists(self) -> list[np.ndarray]:
@@ -206,13 +225,12 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     a_int, a_ext = split_adjacency(graph, partition)
     if component_count(a_int) != partition.n_subgraphs:
         raise ValueError("every subgraph of the partition must be connected")
-    node_lists = partition.node_lists()
     sizes = partition.sizes
     start = np.cumsum(sizes) - sizes
     # Every subgraph's nodes, one subgraph after another (the block order),
     # and the local mode index of every coefficient in block order, which is
     # also each node's rank inside its subgraph.
-    block_nodes = np.concatenate(node_lists)
+    block_nodes = np.argsort(partition.labels, kind="stable")
     mode = np.arange(graph.n) - np.repeat(start, sizes)
     local_rank = np.empty(graph.n, dtype=np.int64)
     local_rank[block_nodes] = mode
@@ -221,20 +239,15 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     position[order] = np.arange(graph.n)
     laplacians, slots = _distinct_laplacians(a_int, partition, local_rank)
     slots = np.array(slots)
-    bases, classes = [None] * partition.n_subgraphs, []
+    classes = []
     for size in np.unique(sizes)[::-1].tolist():
         blocks = np.flatnonzero(sizes == size)
         # Slots are numbered in first-seen order, so `rows` keeps it.
         distinct, rows = np.unique(slots[blocks], return_inverse=True)
-        w, analysis, synthesis = eigenbasis_stack(np.stack([laplacians[k] for k in distinct]), p)
-        shared = [LocalEigenBasis(*parts, p=p) for parts in zip(w, analysis, synthesis)]
-        for k, row in zip(blocks.tolist(), rows.tolist()):
-            bases[k] = shared[row]
+        stacks = eigenbasis_stack(np.stack([laplacians[k] for k in distinct]), p)
         cells = start[blocks][:, None] + np.arange(size)
-        classes.append(SizeClass(block_nodes[cells], position[cells], rows, analysis,
-                                 synthesis))
-    return LevelOperators(partition=partition, node_lists=node_lists, bases=bases,
-                          classes=tuple(classes), order=order,
+        classes.append(SizeClass(block_nodes[cells], position[cells], rows, *stacks, p))
+    return LevelOperators(partition=partition, classes=tuple(classes), order=order,
                           offsets=np.concatenate([[0], np.cumsum(np.bincount(mode))]),
                           a_int=a_int, a_ext=a_ext)
 
@@ -444,23 +457,3 @@ def compute_atoms(pyramid: Pyramid) -> Atoms:
         details.append(dict(enumerate(channels[1:], start=2)))
         carry = channels[0]
     return Atoms(approximation=approx, details=details)
-
-
-# -- dense verification helpers ---------------------------------------------
-
-
-def stacked_analysis(operators: LevelOperators) -> np.ndarray:
-    """Dense [Theta_1 ... Theta_N] matrix (columns grouped by channel)."""
-    return operators._stacked("analysis").toarray()
-
-
-def stacked_synthesis(operators: LevelOperators) -> np.ndarray:
-    """Dense [Pi_1 ... Pi_N] matrix (columns grouped by channel)."""
-    return operators._stacked("synthesis").toarray()
-
-
-def biorthogonality_residual(operators: LevelOperators) -> float:
-    """Max-norm deviation of the synthesis/analysis stack from the identity."""
-    theta = stacked_analysis(operators)
-    pi = stacked_synthesis(operators)
-    return float(np.abs(pi @ theta.T - np.eye(operators.n)).max())

@@ -110,26 +110,9 @@ class WeightedGraph:
     def degrees(self) -> np.ndarray:
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
-    @property
-    def total_weight(self) -> float:
-        """Sum of edge weights, each unordered edge counted once."""
-        return float(self._w.sum())
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, w) arrays with u < v, one entry per edge."""
         return self._u, self._v, self._w
-
-    def edges(self):
-        for u, v, w in zip(self._u, self._v, self._w):
-            yield int(u), int(v), float(w)
-
-    def subgraph(self, nodes: np.ndarray) -> "WeightedGraph":
-        """Induced subgraph; local node j corresponds to nodes[j]."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        pos = -np.ones(self.n, dtype=np.int64)
-        pos[nodes] = np.arange(len(nodes))
-        mask = (pos[self._u] >= 0) & (pos[self._v] >= 0)
-        return WeightedGraph(len(nodes), pos[self._u[mask]], pos[self._v[mask]], self._w[mask])
 
     def dense_adjacency(self) -> np.ndarray:
         return self.adjacency.toarray()
@@ -210,14 +193,9 @@ class SubgraphPartition:
         """Subgraph sizes N_k indexed by label-1."""
         return np.bincount(self.labels, minlength=self.n_subgraphs + 1)[1:]
 
-    def members(self, k: int) -> np.ndarray:
-        """Nodes of subgraph k in ascending original index (fixes the local order)."""
-        if not 1 <= k <= self.n_subgraphs:
-            raise ValueError(f"unknown subgraph label {k}")
-        return np.flatnonzero(self.labels == k)
-
     def node_lists(self) -> list[np.ndarray]:
-        """`members(k)` for k = 1..K; the stable argsort lists each ascending."""
+        """The nodes of subgraph k for k = 1..K, each in ascending original
+        index (which fixes the local order); the stable argsort lists them."""
         order = np.argsort(self.labels, kind="stable")
         bounds = np.searchsorted(self.labels[order], np.arange(1, self.n_subgraphs + 2))
         return [order[bounds[k]:bounds[k + 1]] for k in range(self.n_subgraphs)]
@@ -244,14 +222,6 @@ def split_adjacency(graph: WeightedGraph,
     a_int = WeightedGraph(graph.n, u[same], v[same], w[same])
     a_ext = WeightedGraph(graph.n, u[~same], v[~same], w[~same])
     return a_int, a_ext
-
-
-def extract_local_adjacency(graph: WeightedGraph, partition: SubgraphPartition,
-                            k: int) -> WeightedGraph:
-    """Induced subgraph on the members of label k, nodes in ascending index order."""
-    if partition.n != graph.n:
-        raise ValueError("partition length does not match graph size")
-    return graph.subgraph(partition.members(k))
 
 
 def _one_sided(graph: WeightedGraph) -> sp.csr_matrix:
@@ -315,13 +285,6 @@ def global_eigenbasis(graph: WeightedGraph, p: int = 2) -> tuple[np.ndarray, np.
     if connected_components(graph).n_subgraphs != 1:
         raise ValueError("global Fourier transform requires a connected graph")
     return laplacian_eigh(laplacian(graph), p)
-
-
-def global_fourier(graph: WeightedGraph, signal: np.ndarray) -> np.ndarray:
-    """Project a signal on the orthonormal Laplacian eigenbasis of the full graph."""
-    x = as_signal(signal, graph.n)
-    _, q = global_eigenbasis(graph, p=2)
-    return q.T @ x
 
 
 def as_signal(values, n: int) -> np.ndarray:

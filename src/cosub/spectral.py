@@ -288,37 +288,7 @@ def eigenbasis_stack(laplacians: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
     return stacks
 
 
-def local_eigenbases(laplacians, p: int) -> list[LocalEigenBasis]:
-    """Analysis/synthesis eigenbases of many connected subgraph Laplacians.
-
-    Byte-identical Laplacians are solved once and share one (read-only)
-    `LocalEigenBasis`.  The distinct ones are grouped by size, and each size
-    class goes through one `eigenbasis_stack`.
-    """
-    if p not in (1, 2):
-        raise ValueError("normalization exponent must be 1 or 2")
-    slots: dict[bytes, int] = {}
-    distinct: list[np.ndarray] = []
-    index = []
-    for lap in laplacians:
-        lap = _square(lap)
-        slot = slots.setdefault(lap.tobytes(), len(distinct))
-        if slot == len(distinct):
-            distinct.append(lap)
-        index.append(slot)
-    del slots  # the keys are as large as the Laplacians; free them before solving
-    classes: dict[int, list[int]] = {}
-    for slot, lap in enumerate(distinct):
-        classes.setdefault(len(lap), []).append(slot)
-    bases: list[LocalEigenBasis] = [None] * len(distinct)
-    for members in classes.values():
-        w, q, synthesis = eigenbasis_stack(np.stack([distinct[s] for s in members]), p)
-        for j, slot in enumerate(members):
-            bases[slot] = LocalEigenBasis(eigenvalues=w[j], analysis=q[j],
-                                          synthesis=synthesis[j], p=p)
-    return [bases[slot] for slot in index]
-
-
 def local_eigenbasis(local_laplacian: np.ndarray, p: int) -> LocalEigenBasis:
     """Full analysis/synthesis eigenbasis of one connected subgraph Laplacian."""
-    return local_eigenbases([local_laplacian], p)[0]
+    w, q, synthesis = eigenbasis_stack(_square(local_laplacian)[None], p)
+    return LocalEigenBasis(eigenvalues=w[0], analysis=q[0], synthesis=synthesis[0], p=p)

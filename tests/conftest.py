@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cosub import SubgraphPartition, WeightedGraph
+from cosub import SubgraphPartition, WeightedGraph, laplacian
 
 # CI sets HYPOTHESIS_PROFILE=ci: the same examples on every run and no
 # per-example deadline on shared runners.  Local runs keep the default.
@@ -65,13 +65,34 @@ def brute_coarsen(graph: WeightedGraph, labels, keep) -> np.ndarray:
     keep = list(keep)
     pos = {k: i for i, k in enumerate(keep)}
     out = np.zeros((len(keep), len(keep)))
-    for u, v, w in graph.edges():
+    for u, v, w in edge_tuples(graph):
         cu, cv = labels[u], labels[v]
         if cu == cv or cu not in pos or cv not in pos:
             continue
         out[pos[cu], pos[cv]] += w
         out[pos[cv], pos[cu]] += w
     return out
+
+
+def edge_tuples(graph: WeightedGraph) -> list[tuple[int, int, float]]:
+    """Every edge once as a (u, v, w) tuple of Python scalars, u < v, in the
+    graph's (u, v) order."""
+    u, v, w = graph.edge_arrays()
+    return list(zip(u.tolist(), v.tolist(), w.tolist()))
+
+
+def local_laplacian(dense_adjacency: np.ndarray, nodes) -> np.ndarray:
+    """`laplacian` of the subgraph that `nodes` (ascending) induce in a graph
+    given by its dense adjacency: local node j is nodes[j]."""
+    return laplacian(WeightedGraph.from_adjacency(dense_adjacency[np.ix_(nodes, nodes)]))
+
+
+def dense_operators(operators) -> tuple[np.ndarray, np.ndarray]:
+    """A level's whole analysis and synthesis operators as dense n x n
+    matrices, their columns channel by channel (the `offsets` order)."""
+    channels = range(1, operators.n_channels + 1)
+    return (np.hstack([operators.analysis_matrix(l).toarray() for l in channels]),
+            np.hstack([operators.synthesis_matrix(l).toarray() for l in channels]))
 
 
 def random_connected_partition(graph: WeightedGraph, rng: np.random.Generator,

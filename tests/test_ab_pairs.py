@@ -1,6 +1,9 @@
-"""tools/ab_pairs.py's summary on synthetic end-to-end records."""
+"""tools/ab_pairs.py's summary and --out file on synthetic records."""
 
 import importlib.util
+import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,3 +75,110 @@ def test_single_pair_uses_its_values():
     line = ab_pairs.format_rows([out])[0]
     assert line.startswith("analyze_s [s]: parent 2 [2, 2] -> change 1 [1, 1] (-50.0%)")
     assert line.endswith("change won 1/1, gain rule holds")
+
+
+# -- the --out file, with stub runs in place of perfbench/run.py --------------
+
+ROOT = TOOLS.parent
+RUN_KEYS = {"workload", "seed", "instance_seeds", "end_to_end", "operations", "environment"}
+OPERATIONS = ("analyze", "synthesize", "compress", "denoise", "atoms")
+ENVIRONMENT = {"nproc": 2, "cpu_model": "x" * 40, "python": "3.11.7", "numpy": "2.4.6",
+               "scipy": "1.17.1", "blas": {"name": "openblas", "version": "0.3", "threads": 2},
+               "thread_env": {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": None}}
+
+
+def stub_record(workload, seed, seconds, digest):
+    """A run record in perfbench/run.py's shape, as large as a 30 s sbm-sc
+    run's: five operations of eight instances, and per-call lists, which the
+    --out file must leave out."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    calls = [seconds] * 3000
+    digests = [digest] + [f"{i:064x}" for i in range(7)]
+    return {"workload": workload, "seed": seed, "instance_seeds": list(range(10**8, 10**8 + 8)),
+            "end_to_end": {m["name"]: {"value": seconds, "unit": m["unit"]} for m in metrics},
+            "operations": {op: {"digests": digests, "failed": 0,
+                                "raw": {"median": seconds, "all": calls},
+                                "scaled": {"median": seconds, "blocks": calls}}
+                           for op in OPERATIONS},
+            "environment": ENVIRONMENT,
+            "setup_s": {"median": seconds, "all": calls, "raw": calls}}
+
+
+def checkouts(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+        (side / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    return parent, change
+
+
+def stub_runs(monkeypatch, change_digest="d" * 64):
+    def run_once(checkout, workload, seed, seconds, out):
+        change = checkout.name == "change"
+        return stub_record(workload, seed, 0.5 if change else 1.0,
+                           change_digest if change else "d" * 64)
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+
+
+def compare(parent, change, *extra):
+    return ab_pairs.main([str(parent), str(change), "--workload", "sbm-sc", "--seed", "1",
+                          "--pairs", "10", *extra])
+
+
+def test_out_file_holds_the_comparison(tmp_path, monkeypatch, capsys):
+    parent, change = checkouts(tmp_path)
+    stub_runs(monkeypatch)
+    assert compare(parent, change) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "ab.json"
+    assert compare(parent, change, "--out", str(out)) == 0
+    assert capsys.readouterr().out == printed
+    assert out.stat().st_size < 100_000
+    data = json.loads(out.read_text())
+    assert set(data) == {"workload", "seed", "pairs", "run_seconds", "trees", "first", "runs",
+                         "summary", "printed", "verdicts"}
+    assert (data["workload"], data["seed"], data["pairs"]) == ("sbm-sc", 1, 10)
+    assert data["trees"] == {"parent": {"path": str(parent), "head": None},
+                             "change": {"path": str(change), "head": None}}
+    assert data["first"] == ["parent", "change"] * 5
+    for side, seconds in (("parent", 1.0), ("change", 0.5)):
+        assert len(data["runs"][side]) == 10
+        for run in data["runs"][side]:
+            assert set(run) == RUN_KEYS
+            assert run["end_to_end"]["analyze_s"] == {"value": seconds, "unit": "s"}
+            assert set(run["operations"]) == set(OPERATIONS)
+            assert run["operations"]["analyze"] == {
+                "digests": ["d" * 64] + [f"{i:064x}" for i in range(7)], "failed": 0}
+            assert run["environment"] == ENVIRONMENT
+    assert ab_pairs.differences(data["runs"]["parent"][3], data["runs"]["change"][3]) == []
+    assert data["printed"] == printed.splitlines()
+    rows = {row["metric"]: row for row in data["summary"]}
+    assert rows["analyze_s"]["wins"] == 10 and rows["analyze_s"]["change"] == [0.5] * 3
+    assert data["verdicts"] == {"gains": [row["metric"] for row in data["summary"]
+                                          if row["gain"]], "digests_equal": True}
+    assert "analyze_s" in data["verdicts"]["gains"]
+    assert "nla_psnr_db" not in data["verdicts"]["gains"]
+
+
+def test_out_file_records_differing_digests(tmp_path, monkeypatch, capsys):
+    parent, change = checkouts(tmp_path)
+    stub_runs(monkeypatch, change_digest="f" * 64)
+    out = tmp_path / "ab.json"
+    assert compare(parent, change, "--out", str(out)) == 1
+    printed = capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert data["verdicts"]["digests_equal"] is False
+    assert data["printed"] == printed.splitlines()
+    assert "digests differ:" in data["printed"]
+    assert data["printed"][-1].startswith("pair 10: ")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_head_names_the_checked_out_commit(tmp_path):
+    assert ab_pairs.git_head(tmp_path) is None
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "t"], cwd=tmp_path, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert len(head) == 40 and ab_pairs.git_head(tmp_path) == head

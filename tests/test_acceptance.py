@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import blocks_to_labels, brute_modularity, set_partitions
+from conftest import blocks_to_labels, brute_modularity, dense_operators, set_partitions
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph,
                    analyze_cascade, best_level_nla, build_operators,
                    compute_atoms, denoise, grid_graph, haar_partition,
                    line_graph, louvain, modularity, partition_is_connected,
                    sbm_graph, smooth_test_signal, snr, split_adjacency,
-                   stacked_analysis, stacked_synthesis, synthesize_cascade)
+                   synthesize_cascade)
 
 TOL_EXACT = 1e-12
 TOY_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
@@ -174,8 +174,7 @@ def reconstruction_trials():
         if graph.n <= 200:
             biorth, orth = 0.0, 0.0
             for level in pyramid.levels:
-                theta = stacked_analysis(level.operators)
-                pi = stacked_synthesis(level.operators)
+                theta, pi = dense_operators(level.operators)
                 eye = np.eye(level.n)
                 biorth = max(biorth, float(np.abs(pi @ theta.T - eye).max()))
                 if params["p"] == 2:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import edge_tuples
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph, analyze_cascade,
                    best_level_nla, fileio, haar_partition, line_graph, nla_compress,
                    sbm_graph, synthesize_cascade)
@@ -48,14 +49,14 @@ class TestFileFormats:
         fileio.write_edge_list(toy_graph, path)
         back = fileio.read_edge_list(path)
         assert back.n == toy_graph.n
-        assert list(back.edges()) == list(toy_graph.edges())
+        assert edge_tuples(back) == edge_tuples(toy_graph)
 
     def test_edge_list_comments_and_default_weight(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("# a comment\n0\t1\n1\t2\t2.5\n")
         g = fileio.read_edge_list(path)
         assert g.n == 3
-        assert list(g.edges()) == [(0, 1, 1.0), (1, 2, 2.5)]
+        assert edge_tuples(g) == [(0, 1, 1.0), (1, 2, 2.5)]
 
     def test_edge_list_duplicate_rejected(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -129,7 +130,7 @@ class TestFileFormats:
 
 def old_write_edge_list(graph, path):
     lines = [f"# nodes: {graph.n}"]
-    for u, v, w in graph.edges():
+    for u, v, w in edge_tuples(graph):
         lines.append(f"{u}\t{v}\t{fileio.FLOAT_FMT % w}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -323,6 +324,18 @@ class TestAnalyzeSynthesize:
                      "--outdir", str(tmp_path / "r")])
         assert code == 2
         assert "disconnected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["99999999999999999999", str(-2**63 - 1)])
+    def test_label_beyond_int64_is_usage_error(self, toy_files, tmp_path, capsys, label):
+        bad = tmp_path / "big.txt"
+        bad.write_text(f"1\n1\n1\n2\n{label}\n")
+        code = main(["analyze", "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]),
+                     "--partition", str(bad), "--levels", "1",
+                     "--outdir", str(tmp_path / "r")])
+        assert code == 2
+        assert f"{bad}: label {label} is out of range" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_second_level_size_mismatch_is_usage_error(self, toy_files, tmp_path, capsys):
         bad2 = tmp_path / "bad2.txt"

@@ -123,8 +123,15 @@ class TestReadersMatchTheLineByLineOracle:
         lines = data.draw(st.lists(self.LABEL, max_size=8) | st.lists(self.LABEL | self.OTHER,
                                                                        max_size=8))
         _write(scratch, lines, newline, trailing)
-        assert outcome(fileio.read_partition, scratch, zero_based) == \
-            outcome(oracle.read_partition, scratch, zero_based)
+        got = outcome(fileio.read_partition, scratch, zero_based)
+        want = outcome(oracle.read_partition, scratch, zero_based)
+        if want[0] is OverflowError:
+            # The oracle lets a label outside the int64 range escape as an
+            # OverflowError; the reader names the file and the label.
+            big = next(int(line) for line in lines if line.strip() and not
+                       line.lstrip().startswith("#") and not -2**63 <= int(line) < 2**63)
+            want = ValueError, f"{scratch}: label {big} is out of range"
+        assert got == want
 
 
 class TestBulkRoute:

@@ -6,13 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
-from conftest import graphs_equal
+from conftest import dense_operators, graphs_equal, local_laplacian
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph,
-                   analyze_cascade, analyze_level, biorthogonality_residual,
-                   build_operators, compute_atoms, connected_components,
-                   grid_graph, haar_partition, laplacian, line_graph, local_eigenbasis,
-                   partition_is_connected, sbm_graph, split_adjacency,
-                   stacked_analysis, synthesize_cascade, synthesize_level)
+                   analyze_cascade, analyze_level, build_operators, compute_atoms,
+                   connected_components, filterbank, grid_graph, haar_partition,
+                   line_graph, local_eigenbasis, partition_is_connected, sbm_graph,
+                   split_adjacency, synthesize_cascade, synthesize_level)
 
 TOY_SECOND_LEVEL = SubgraphPartition.from_labels([1, 1])
 
@@ -95,9 +94,9 @@ class TestBuildOperators:
     def test_biorthogonality_dense(self, toy_graph, toy_partition):
         for p in (1, 2):
             ops = build_operators(toy_graph, toy_partition, p=p)
-            assert biorthogonality_residual(ops) < 1e-10
+            theta, pi = dense_operators(ops)
+            assert np.abs(pi @ theta.T - np.eye(5)).max() < 1e-10
             if p == 2:
-                theta = stacked_analysis(ops)
                 assert np.abs(theta.T @ theta - np.eye(5)).max() < 1e-10
 
 
@@ -135,8 +134,8 @@ class TestDistinctBlocks:
     def test_blocks_share_bases_exactly_when_laplacians_match(self, case, p):
         graph, part = case
         a_int, _ = split_adjacency(graph, part)
-        node_lists = part.node_lists()
-        laps = [laplacian(a_int.subgraph(nodes)) for nodes in node_lists]
+        dense = a_int.dense_adjacency()
+        laps = [local_laplacian(dense, nodes) for nodes in part.node_lists()]
         # Independent of the library's component count: each class alone.
         connected = all(csgraph.connected_components(lap != 0, directed=False)[0] == 1
                         for lap in laps)
@@ -248,6 +247,47 @@ class TestStackedProducts:
                 for attr in ("data", "indices", "indptr"):
                     assert getattr(got, attr).dtype == getattr(want, attr).dtype
                     assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+class TestDerivedViews:
+    """`bases` and `node_lists` are built from the classes and the partition
+    on first read, never by `build_operators`, and then kept."""
+
+    def test_build_constructs_no_basis(self, monkeypatch):
+        built = []
+        basis = filterbank.LocalEigenBasis
+        monkeypatch.setattr(filterbank, "LocalEigenBasis",
+                            lambda *args, **kwargs: built.append(args) or basis(*args, **kwargs))
+        # A 4x6 grid: four 2x2 tiles on the left, and on the right one pair
+        # of nodes per row.  Two size classes, one distinct basis each.
+        labels = [(r // 2) * 2 + c // 2 + 1 if c < 4 else 5 + r
+                  for r in range(4) for c in range(6)]
+        part = SubgraphPartition.from_labels(labels)
+        ops = build_operators(grid_graph(4, 6), part, p=1)
+        assert built == []
+        assert len(ops.bases) == 8 and len(built) == 2
+        assert [len(c.analysis) for c in ops.classes] == [1, 1]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_views_are_built_once(self, toy_graph, toy_partition, p):
+        ops = build_operators(toy_graph, toy_partition, p)
+        assert ops.bases is ops.bases
+        assert ops.node_lists is ops.node_lists
+        with pytest.raises(AttributeError):
+            ops.bases = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=tiled_grids(), p=st.sampled_from([1, 2]))
+    def test_node_lists_are_the_partitions(self, case, p):
+        graph, part = case
+        assume(partition_is_connected(graph, part))
+        ops = build_operators(graph, part, p)
+        want = part.node_lists()
+        assert len(ops.node_lists) == len(want)
+        for got, nodes in zip(ops.node_lists, want):
+            assert got.dtype == nodes.dtype and got.tolist() == nodes.tolist()
+        for basis, nodes in zip(ops.bases, want):
+            assert basis.size == len(nodes) and basis.p == p
 
 
 class TestAnalyzeSynthesizeLevel:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blocks_to_labels, brute_modularity, set_partitions
+from conftest import blocks_to_labels, brute_modularity, edge_tuples, set_partitions
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph,
                    edge_aware_adjacency, grid_graph, haar_partition, line_graph, louvain,
                    modularity, partition_is_connected, sbm_graph)
@@ -134,12 +134,12 @@ class TestPartitionConfig:
 class TestEdgeAware:
     def test_constant_signal_degenerates_to_unit_weights(self, toy_graph):
         out = edge_aware_adjacency(toy_graph, np.full(5, 3.25))
-        assert all(w == 1.0 for _, _, w in out.edges())
+        assert all(w == 1.0 for _, _, w in edge_tuples(out))
 
     def test_single_difference_degenerates(self):
         g = WeightedGraph.from_edges(2, [(0, 1)])
         out = edge_aware_adjacency(g, [0.0, 1.0])
-        assert list(out.edges()) == [(0, 1, 1.0)]
+        assert edge_tuples(out) == [(0, 1, 1.0)]
 
     def test_non_finite_signal_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -156,7 +156,7 @@ class TestEdgeAware:
         assert np.all(w > 0.0)
         assert np.count_nonzero(w == np.finfo(np.float64).tiny) == 2
         assert np.all(w[(u != 0) & (v != 0)] == 1.0)
-        rebuilt = WeightedGraph.from_edges(g.n, out.edges())
+        rebuilt = WeightedGraph.from_edges(g.n, edge_tuples(out))
         assert np.array_equal(rebuilt.edge_arrays()[2], w)
 
     def test_overflowing_differences_give_valid_weights(self):
@@ -189,7 +189,7 @@ class TestEdgeAware:
     def test_path_kernel_values(self):
         g = WeightedGraph.from_edges(3, [(0, 1), (1, 2)])
         out = edge_aware_adjacency(g, [0.0, 0.0, 1.0])
-        weights = {(u, v): w for u, v, w in out.edges()}
+        weights = {(u, v): w for u, v, w in edge_tuples(out)}
         assert weights[(0, 1)] == pytest.approx(1.0, abs=1e-15)
         assert weights[(1, 2)] == pytest.approx(np.exp(-2.0), abs=1e-15)
 
@@ -198,10 +198,10 @@ class TestEdgeAware:
         g = sbm_graph([10, 10], 0.5, 0.2, 17)
         x = rng.normal(size=g.n)
         out = edge_aware_adjacency(g, x)
-        src = sorted((u, v) for u, v, _ in g.edges())
-        dst = sorted((u, v) for u, v, _ in out.edges())
+        src = sorted((u, v) for u, v, _ in edge_tuples(g))
+        dst = sorted((u, v) for u, v, _ in edge_tuples(out))
         assert src == dst
-        weights = np.array([w for _, _, w in out.edges()])
+        weights = np.array([w for _, _, w in edge_tuples(out)])
         assert np.all((weights > 0.0) & (weights <= 1.0))
 
 

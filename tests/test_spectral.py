@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import spectral_oracle as oracle
 from cosub import (SubgraphPartition, build_operators, canonicalize_degenerate,
-                   dual_basis, grid_graph, laplacian, laplacian_eigh, local_eigenbases,
-                   local_eigenbasis, lp_normalize, sbm_graph, spectral)
+                   dual_basis, grid_graph, laplacian, laplacian_eigh, local_eigenbasis,
+                   lp_normalize, sbm_graph, spectral)
 
 TRIANGLE = np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 PAIR = np.array([[1.0, -1], [-1, 1]])
@@ -337,6 +337,12 @@ def _assert_same_basis(got, ref):
     assert np.array_equal(got.synthesis, ref.synthesis)
 
 
+def _stack_bases(laps, p):
+    """The bases of equal-size Laplacians, solved by one `eigenbasis_stack`."""
+    w, q, synthesis = spectral.eigenbasis_stack(np.stack(laps), p)
+    return [spectral.LocalEigenBasis(*parts, p=p) for parts in zip(w, q, synthesis)]
+
+
 class TestStackedAgainstOracle:
     """The stacked spectral stage against the per-block functions it replaced,
     kept verbatim in `spectral_oracle`: equal bits, not merely close values."""
@@ -344,10 +350,11 @@ class TestStackedAgainstOracle:
     @settings(max_examples=60, deadline=None)
     @given(laps=mixed_levels(), p=st.sampled_from([1, 2]))
     def test_level_bases_bit_identical(self, laps, p):
-        bases = local_eigenbases(laps, p)
-        assert len(bases) == len(laps)
-        for lap, basis in zip(laps, bases):
-            _assert_same_basis(basis, oracle.local_eigenbasis(lap, p))
+        # One `eigenbasis_stack` per size, as `build_operators` solves a level.
+        for size in {len(lap) for lap in laps}:
+            group = [lap for lap in laps if len(lap) == size]
+            for lap, basis in zip(group, _stack_bases(group, p)):
+                _assert_same_basis(basis, oracle.local_eigenbasis(lap, p))
 
     @settings(max_examples=30, deadline=None)
     @given(lap=st.one_of(symmetric_laplacians(), weighted_laplacians()),
@@ -370,7 +377,7 @@ class TestStackedAgainstOracle:
                             lambda e, fixed, p: searched.append(e.shape) or reference(e, fixed, p))
         laps = [_star(6, 0), _star(6, 6), _star(6, 1)]
         for p in (1, 2):
-            for lap, basis in zip(laps, local_eigenbases(laps, p)):
+            for lap, basis in zip(laps, _stack_bases(laps, p)):
                 _assert_same_basis(basis, oracle.local_eigenbasis(lap, p))
         # The eigenvalue-1 multiplet has m=5; only the hub-last star has its
         # hub, a zero row of the frame, among the trailing m-1 rows.
@@ -386,19 +393,14 @@ class TestStackedAgainstOracle:
         with pytest.raises(ValueError) as ref:
             oracle.local_eigenbasis(bad, p)
         message = re.escape(str(ref.value))
+        good = laplacian(grid_graph(1, len(bad)))
         with pytest.raises(ValueError, match=message):
-            local_eigenbases([TRIANGLE, bad, TRIANGLE], p)
+            spectral.eigenbasis_stack(np.stack([good, bad, good]), p)
         with pytest.raises(ValueError, match=message):
             local_eigenbasis(bad, p)
 
 
 class TestSharedBases:
-    def test_identical_blocks_share_one_basis(self):
-        tile = laplacian(grid_graph(3, 3))
-        bases = local_eigenbases([tile, TRIANGLE, tile.copy(), -tile * -1.0], p=1)
-        assert bases[0] is bases[2] and bases[0] is bases[3]
-        assert bases[1] is not bases[0]
-
     def test_grid_tiles_share_one_basis_per_level(self):
         # A 4x6 grid cut into 2x2 tiles: six byte-identical local Laplacians.
         labels = [(r // 2) * 3 + c // 2 + 1 for r in range(4) for c in range(6)]
@@ -408,12 +410,13 @@ class TestSharedBases:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_bases_are_read_only(self, p):
-        basis = local_eigenbases([TRIANGLE], p)[0]
-        for array in (basis.eigenvalues, basis.analysis, basis.synthesis):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
-            with pytest.raises(ValueError, match="read-only"):
-                array *= 2.0
+        ops = build_operators(grid_graph(2, 2), SubgraphPartition.from_labels([1, 1, 2, 2]), p)
+        for basis in (local_eigenbasis(TRIANGLE, p), ops.bases[0]):
+            for array in (basis.eigenvalues, basis.analysis, basis.synthesis):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    array *= 2.0
 
 
 def test_star_with_1000_leaves_has_no_cliff():

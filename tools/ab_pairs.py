@@ -1,6 +1,7 @@
 """Alternating benchmark runs of two checkouts, summarised per end-to-end metric.
 
-    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed N --pairs 10
+    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed N --pairs 10 \
+        [--out FILE]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of this repository, typically a
 parent commit and a change.  Each pair runs `perfbench/run.py` once in each,
@@ -15,6 +16,12 @@ change wins at least nine tenths of the pairs and its median is better than
 the parent's by more than the parent's interquartile range.  It also reports
 every pair whose output digests differ (`digest_diff.differences`).  Exits 0
 when every pair's digests are equal, 1 when one pair's are not.
+
+With --out, it also writes the comparison as one JSON file: both checkouts
+and their `git rev-parse HEAD` (null outside a git work tree), the workload,
+seed and pair count, every run's end-to-end medians, digests and environment
+(not its per-call lists, which make up most of a record), the per-metric
+summary, the printed lines and the verdicts.
 """
 
 from __future__ import annotations
@@ -88,6 +95,27 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, out: Path
     return json.loads(out.read_text())
 
 
+def compact(record: dict) -> dict:
+    """The fields of a `perfbench/run.py` record that a comparison reads, in
+    the record's own shape: `digest_diff.differences` and `summary` take it."""
+    return {"workload": record["workload"], "seed": record["seed"],
+            "instance_seeds": record["instance_seeds"],
+            "end_to_end": record["end_to_end"],
+            "operations": {op: {"digests": entry["digests"], "failed": entry["failed"]}
+                           for op, entry in record["operations"].items()},
+            "environment": record["environment"]}
+
+
+def git_head(checkout: Path) -> str | None:
+    """The commit checked out in `checkout`, or None outside a git work tree."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                             capture_output=True, text=True)
+    except OSError:
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -95,31 +123,44 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, help="also write the comparison to this JSON file")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict = {"parent": [], "change": []}
-    digest_lines = []
+    first, digest_lines = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            first.append(order[0])
             for side in order:
                 record = run_once(sides[side], args.workload, args.seed,
                                   bench["run_seconds"], Path(tmp) / f"{side}-{i}.json")
-                runs[side].append(record)
+                runs[side].append(compact(record))
             diff = differences(runs["parent"][-1], runs["change"][-1])
             digest_lines += [f"pair {i + 1}: {line}" for line in diff]
             print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
     rows = summary(bench["end_to_end"], [r["end_to_end"] for r in runs["parent"]],
                    [r["end_to_end"] for r in runs["change"]])
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, "
-          f"{bench['run_seconds']} s runs, first side alternating")
-    print("\n".join(format_rows(rows)))
-    if digest_lines:
-        print("digests differ:\n" + "\n".join(digest_lines))
-        return 1
-    print("every digest equal in every pair")
-    return 0
+    printed = [f"{args.workload} seed {args.seed}, {args.pairs} pairs, "
+               f"{bench['run_seconds']} s runs, first side alternating", *format_rows(rows)]
+    printed += (["digests differ:", *digest_lines] if digest_lines
+                else ["every digest equal in every pair"])
+    print("\n".join(printed))
+    if args.out:
+        comparison = {
+            "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+            "run_seconds": bench["run_seconds"],
+            "trees": {side: {"path": str(path), "head": git_head(path)}
+                      for side, path in sides.items()},
+            "first": first, "runs": runs, "summary": rows, "printed": printed,
+            "verdicts": {"gains": [row["metric"] for row in rows if row["gain"]],
+                         "digests_equal": not digest_lines},
+        }
+        # Without indentation: 10 pairs of sbm-sc (8 digests per operation)
+        # take about 83 KB, against 116 KB indented.
+        args.out.write_text(json.dumps(comparison, sort_keys=True, separators=(",", ":")) + "\n")
+    return 1 if digest_lines else 0
 
 
 if __name__ == "__main__":
