@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid usage or inputs, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -379,6 +380,7 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: `parse_args` keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cosub",
                                      description="Connected-subgraph filterbanks for graph signals")

@@ -136,14 +136,15 @@ def write_partition(partition: SubgraphPartition, path, zero_based: bool = False
 
 def read_partition(path, zero_based: bool = False) -> SubgraphPartition:
     labels = _values(int, Path(path).read_text().splitlines())
+    top = 2**63 - zero_based  # a zero-based label must survive the shift to one-based
     try:
         arr = np.asarray(labels, dtype=np.int64)
+        if zero_based and arr.size and arr.max() >= top:
+            raise OverflowError
     except OverflowError:
-        big = next(x for x in labels if not -2**63 <= x < 2**63)
+        big = next(x for x in labels if not -2**63 <= x < top)
         raise ValueError(f"{path}: label {big} is out of range") from None
-    if zero_based:
-        arr = arr + 1
-    return SubgraphPartition.from_labels(arr)
+    return SubgraphPartition.from_labels(arr + zero_based)
 
 
 def _values(convert, lines: list[str]) -> list:

@@ -106,18 +106,19 @@ class LevelOperators:
         return [np.sort(by_size[:count]) + 1 for count in self.channel_sizes]
 
     def _channel_parts(self, basis_field: str | None, channels):
-        """Yield `(data, indices, counts)` for each channel l in `channels`:
-        column j of channel l holds, on its subgraph's nodes (`counts[j]` of
-        them), the l-th column of that subgraph's `basis_field` matrix, or
-        ones when `basis_field` is None.
+        """Yield the CSC arrays `(data, indices, indptr)` of each channel l in
+        `channels`: column j of channel l holds, on its subgraph's nodes, the
+        l-th column of that subgraph's `basis_field` matrix, or ones when
+        `basis_field` is None.
 
         Channel l's subgraphs are the |channel l| largest, which make up the
         classes of size at least l: a prefix of `classes`, and of their
         class-major order `by_size`.  `pos` places the channel's entries, in
-        label order, in that prefix's node matrices.  The node indices and
-        `pos` are computed once per member set, and channels of one set share
-        their `indices`.  Each channel then costs one gather from each class's
-        stack and, when it spans several classes, one by `pos`.
+        label order, in that prefix's node matrices.  `indices`, `indptr`
+        and `pos` are computed once per member set and shared by its
+        channels; `_csc` copies them into each matrix.  Each channel then
+        costs one gather from each class's stack, of the rows of its (d, s)
+        mode-l slice, and, when it spans several classes, one by `pos`.
         """
         sizes = self.partition.sizes
         by_size = np.argsort(-sizes, kind="stable")
@@ -133,14 +134,14 @@ class LevelOperators:
                 ends = np.cumsum(counts)
                 pos = np.arange(ends[-1]) + np.repeat(class_start[members] - (ends - counts),
                                                       counts)
-                indices = nodes[pos]
+                indices, indptr = nodes[pos], np.concatenate([[0], ends])
             if basis_field is None:
                 data = np.ones(len(pos))
             else:
-                parts = [getattr(c, basis_field)[c.rows, :, l - 1].ravel()
+                parts = [getattr(c, basis_field)[:, :, l - 1].take(c.rows, axis=0).ravel()
                          for c in self.classes if c.nodes.shape[1] >= l]
                 data = parts[0] if len(parts) == 1 else np.concatenate(parts)[pos]
-            yield data, indices, counts
+            yield data, indices, indptr
 
     def _channel_matrix(self, l: int, basis_field: str | None) -> sp.csc_matrix:
         """Channel l as an n x |channel| CSC matrix (see `_channel_parts`)."""
@@ -151,8 +152,11 @@ class LevelOperators:
     def _stacked(self, basis_field: str | None) -> sp.csc_matrix:
         """Every channel side by side, channel 1 first: an n x n CSC matrix
         whose columns are in channel order (`order`/`offsets`)."""
-        parts = zip(*self._channel_parts(basis_field, range(1, self.n_channels + 1)))
-        return _csc(self.n, *(np.concatenate(arrays) for arrays in parts))
+        data, indices, _ = zip(*self._channel_parts(basis_field, range(1, self.n_channels + 1)))
+        # Column k holds the coefficient `order[k]` of the block order: its block's size.
+        counts = np.repeat(self.partition.sizes, self.partition.sizes)[self.order]
+        return _csc(self.n, np.concatenate(data), np.concatenate(indices),
+                    np.concatenate([[0], np.cumsum(counts)]))
 
     def analysis_matrix(self, l: int) -> sp.csc_matrix:
         """Channel-l analysis operator: zero-padded l-th local modes as columns."""
@@ -167,10 +171,18 @@ class LevelOperators:
         return self._channel_matrix(l, None)
 
 
-def _csc(n: int, data: np.ndarray, indices: np.ndarray, counts: np.ndarray) -> sp.csc_matrix:
-    """n-row CSC matrix whose column j stores the next `counts[j]` entries."""
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sp.csc_matrix((data, indices, indptr), shape=(n, len(counts)))
+def _index_dtype(*sizes: int) -> type:
+    """The index dtype scipy picks for a sparse matrix of these sizes (its
+    shape and entry count): int32 unless one of them reaches 2**31."""
+    return np.int32 if max(sizes) < 2**31 else np.int64
+
+
+def _csc(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csc_matrix:
+    """n-row CSC matrix owning copies of `indices` and `indptr` in scipy's
+    own index dtype, which scipy takes as they are: callers may share theirs."""
+    dtype = _index_dtype(n, len(indptr) - 1, len(data))
+    return sp.csc_matrix((data, indices.astype(dtype), indptr.astype(dtype)),
+                         shape=(n, len(indptr) - 1))
 
 
 def _distinct_laplacians(a_int: WeightedGraph, partition: SubgraphPartition,
@@ -450,7 +462,7 @@ def compute_atoms(pyramid: Pyramid) -> Atoms:
             atoms = carry @ ops._stacked("analysis")
             cuts = atoms.indptr[ops.offsets]
             channels = [_csc(atoms.shape[0], atoms.data[lo:hi], atoms.indices[lo:hi],
-                             np.diff(atoms.indptr[a:b + 1]))
+                             atoms.indptr[a:b + 1] - lo)
                         for a, b, lo, hi in zip(ops.offsets[:-1], ops.offsets[1:],
                                                 cuts[:-1], cuts[1:])]
         approx.append(channels[0])

@@ -182,3 +182,37 @@ def test_git_head_names_the_checked_out_commit(tmp_path):
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, check=True,
                           capture_output=True, text=True).stdout.strip()
     assert len(head) == 40 and ab_pairs.git_head(tmp_path) == head
+
+
+OUT_KEYS = {"workload", "seed", "pairs", "run_seconds", "trees", "first", "runs", "summary",
+            "printed", "verdicts"}
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_comparisons_have_the_out_schema(path):
+    """Every root BENCH_*.json is an `ab_pairs.py --out` file under 100 KB."""
+    assert path.stat().st_size < 100_000
+    data = json.loads(path.read_text())
+    assert set(data) == OUT_KEYS
+    pairs = data["pairs"]
+    assert set(data["trees"]) == {"parent", "change"}
+    assert all(set(tree) == {"path", "head"} for tree in data["trees"].values())
+    assert len(data["first"]) == pairs
+    assert set(data["first"]) <= {"parent", "change"}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for side in ("parent", "change"):
+        assert len(data["runs"][side]) == pairs
+        for run in data["runs"][side]:
+            assert set(run) == RUN_KEYS
+            assert (run["workload"], run["seed"]) == (data["workload"], data["seed"])
+            assert {m["name"] for m in metrics} <= set(run["end_to_end"])
+            assert all(set(op) == {"digests", "failed"} for op in run["operations"].values())
+    assert [row["metric"] for row in data["summary"]] == [m["name"] for m in metrics]
+    assert data["printed"][1:1 + len(metrics)] == ab_pairs.format_rows(data["summary"])
+    assert set(data["verdicts"]) == {"gains", "digests_equal"}
+    assert data["verdicts"]["gains"] == [row["metric"] for row in data["summary"]
+                                         if row["gain"]]
+
+
+def test_there_are_committed_comparisons():
+    assert sorted(ROOT.glob("BENCH_*.json"))

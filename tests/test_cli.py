@@ -11,7 +11,7 @@ from conftest import edge_tuples
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph, analyze_cascade,
                    best_level_nla, fileio, haar_partition, line_graph, nla_compress,
                    sbm_graph, synthesize_cascade)
-from cosub.cli import main
+from cosub.cli import build_parser, main
 
 
 @pytest.fixture
@@ -335,6 +335,18 @@ class TestAnalyzeSynthesize:
                      "--outdir", str(tmp_path / "r")])
         assert code == 2
         assert f"{bad}: label {label} is out of range" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_zero_based_label_that_wraps_is_usage_error(self, toy_files, tmp_path, capsys):
+        # 2**63 - 1 is an int64, but not once shifted to one-based labels.
+        bad = tmp_path / "big.txt"
+        bad.write_text(f"0\n0\n0\n1\n{2**63 - 1}\n")
+        code = main(["analyze", "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]),
+                     "--partition", str(bad), "--zero-based-labels", "--levels", "1",
+                     "--outdir", str(tmp_path / "r")])
+        assert code == 2
+        assert f"{bad}: label {2**63 - 1} is out of range" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_second_level_size_mismatch_is_usage_error(self, toy_files, tmp_path, capsys):
@@ -837,3 +849,23 @@ class TestPinnedArtifacts:
         text = "\n".join(dense) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == self.ATOMS_DENSE[run]
         assert len(rows) < len(dense) - 1
+
+
+def test_parser_is_built_once_and_keeps_no_state(toy_files, capsys):
+    assert build_parser() is build_parser()
+    analyze = ["analyze", "--graph", "g", "--signal", "x", "--levels", "1", "--outdir", "o"]
+    first = build_parser().parse_args([*analyze, "--partition", "a", "--partition", "b"])
+    second = build_parser().parse_args(analyze)
+    third = build_parser().parse_args([*analyze, "--partition", "c"])
+    assert first.partition == ["a", "b"] and second.partition is None
+    assert third.partition == ["c"]
+    manifest = toy_files["dir"] / "r" / "manifest.json"
+    written = []
+    for _ in range(2):
+        assert main(["analyze", "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]), "--partition", str(toy_files["p1"]),
+                     "--levels", "1", "--outdir", str(toy_files["dir"] / "r")]) == 0
+        written.append(manifest.read_bytes())
+    assert written[0] == written[1]
+    fixed = json.loads(written[1])["partition_config"]["fixed_partitions"]
+    assert fixed == [str(toy_files["p1"])]

@@ -1,7 +1,11 @@
 """Level operators, analysis/synthesis round trips, the cascade and atoms."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
@@ -535,3 +539,109 @@ def _subgraph_trees(pyramid):
         trees.append(current)
         prev = current
     return trees
+
+
+def grid_pyramid(side: int):
+    """The cascade of a side x side grid over fixed square tiles, 8 x 8 at
+    level 1, then 4 x 4 while the coarse side allows, then one tile."""
+    def tiles(side, tile):
+        r, c = np.divmod(np.arange(side * side), side)
+        return SubgraphPartition.from_labels((r // tile) * (side // tile) + c // tile + 1)
+
+    parts, coarse = [tiles(side, 8)], side // 8
+    if coarse % 4 == 0 and coarse > 4:
+        parts.append(tiles(coarse, 4))
+        coarse //= 4
+    parts.append(tiles(coarse, coarse))
+    x = np.random.default_rng(0).normal(size=side * side)
+    return analyze_cascade(grid_graph(side, side), x, parts, p=1)
+
+
+def returned_matrices(pyramid):
+    """Every atom, and every channel operator of every level, each once."""
+    atoms = compute_atoms(pyramid)
+    mats = atoms.approximation + [m for level in atoms.details for m in level.values()]
+    for level in pyramid.levels:
+        ops = level.operators
+        for l in range(1, ops.n_channels + 1):
+            mats += [ops.analysis_matrix(l), ops.synthesis_matrix(l), ops.grouping_matrix(l)]
+    return mats
+
+
+def snapshot(mat):
+    return [a.copy() for a in (mat.data, mat.indices, mat.indptr)]
+
+
+class TestOwnership:
+    """Each returned sparse matrix owns its arrays: changing one in place,
+    as scipy's own in-place methods do, leaves every other one as it was."""
+
+    @pytest.fixture(params=["grid", "sbm"])
+    def pyramid(self, request):
+        if request.param == "grid":
+            return grid_pyramid(32)
+        g = sbm_graph([12, 12, 9, 9, 6], 0.6, 0.05, 3)
+        return analyze_cascade(g, np.random.default_rng(1).normal(size=g.n),
+                               PartitionConfig("sc", seed=1), p=1, max_levels=3)
+
+    def test_no_two_matrices_share_memory(self, pyramid):
+        arrays = [a for m in returned_matrices(pyramid) for a in (m.data, m.indices, m.indptr)]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.may_share_memory(a, b)
+
+    def test_in_place_changes_stay_in_their_matrix(self, pyramid):
+        mats = returned_matrices(pyramid)
+        before = [snapshot(m) for m in mats]
+        for k in range(0, len(mats), max(1, len(mats) // 12)):
+            m = mats[k]
+            m.data[::2] = 0.0
+            m.eliminate_zeros()
+            m.indices[:] = m.indices[::-1].copy()
+            m.has_sorted_indices = False
+            m.sort_indices()
+            m.data[:] = 0.0
+            m.indptr[:] = 0
+            for j, other in enumerate(mats):
+                if j != k:
+                    assert all(np.array_equal(a, b) for a, b in zip(snapshot(other), before[j]))
+            before[k] = snapshot(m)
+
+
+@pytest.mark.parametrize("at", range(3))
+@pytest.mark.parametrize("size", [2**31 - 1, 2**31])
+def test_index_dtype_is_scipys_at_the_bound(size, at):
+    """n, the column count and the entry count each switch the index dtype at
+    2**31, as scipy decides it from the shape and the contents of int64
+    indices (< n) and indptr (up to the entry count)."""
+    n, columns, nnz = [size if i == at else 1 for i in range(3)]
+    want = sp.get_index_dtype((np.array([n - 1]), np.array([0, nnz])),
+                              maxval=max(n, columns), check_contents=True)
+    assert filterbank._index_dtype(n, columns, nnz) == want
+    assert want == (np.int32 if size < 2**31 else np.int64)
+
+
+@pytest.mark.parametrize("n", [2**31 - 1, 2**31])
+def test_csc_index_arrays_match_scipys_own_choice(n):
+    # Many rows cost nothing in CSC: only the columns have an indptr entry.
+    indices, indptr = np.array([0, n - 1]), np.array([0, 2])
+    got = filterbank._csc(n, np.ones(2), indices, indptr)
+    want = sp.csc_matrix((np.ones(2), indices, indptr), shape=(n, 1))
+    assert got.indices.dtype == got.indptr.dtype == want.indices.dtype
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert not np.may_share_memory(got.indices, indices)
+    assert not np.may_share_memory(got.indptr, indptr)
+
+
+def test_atoms_memory_on_the_grid_tiles_pyramid():
+    """tracemalloc peak of `compute_atoms` on the 96 x 96 grid's three-level
+    tile cascade (11.66 MB when this gate was set)."""
+    pyramid = grid_pyramid(96)
+    compute_atoms(pyramid)  # first-read views and caches are not the atoms' cost
+    tracemalloc.start()
+    try:
+        compute_atoms(pyramid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.7e6

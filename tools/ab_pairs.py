@@ -18,10 +18,10 @@ every pair whose output digests differ (`digest_diff.differences`).  Exits 0
 when every pair's digests are equal, 1 when one pair's are not.
 
 With --out, it also writes the comparison as one JSON file: both checkouts
-and their `git rev-parse HEAD` (null outside a git work tree), the workload,
-seed and pair count, every run's end-to-end medians, digests and environment
-(not its per-call lists, which make up most of a record), the per-metric
-summary, the printed lines and the verdicts.
+as given on the command line and their `git rev-parse HEAD` (null outside a
+git work tree), the workload, seed and pair count, every run's end-to-end
+medians, digests and environment (not its per-call lists, which make up most
+of a record), the per-metric summary, the printed lines and the verdicts.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def main(argv=None) -> int:
         comparison = {
             "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
             "run_seconds": bench["run_seconds"],
-            "trees": {side: {"path": str(path), "head": git_head(path)}
+            "trees": {side: {"path": str(getattr(args, side)), "head": git_head(path)}
                       for side, path in sides.items()},
             "first": first, "runs": runs, "summary": rows, "printed": printed,
             "verdicts": {"gains": [row["metric"] for row in rows if row["gain"]],
