@@ -153,7 +153,7 @@ class LevelOperators:
         """Every channel side by side, channel 1 first: an n x n CSC matrix
         whose columns are in channel order (`order`/`offsets`)."""
         data, indices, _ = zip(*self._channel_parts(basis_field, range(1, self.n_channels + 1)))
-        # Column k holds the coefficient `order[k]` of the block order: its block's size.
+        # Column k is coefficient `order[k]` of the block order: one entry per node of its block.
         counts = np.repeat(self.partition.sizes, self.partition.sizes)[self.order]
         return _csc(self.n, np.concatenate(data), np.concatenate(indices),
                     np.concatenate([[0], np.cumsum(counts)]))
