@@ -69,7 +69,8 @@ def _map_details(pyramid: Pyramid, transform) -> Pyramid:
     (level, channel, index) order."""
     details = [chan for level in pyramid.levels for chan in level.channels[1:]]
     mapped = transform(np.concatenate(details or [np.empty(0)]))
-    pieces = iter(np.split(mapped, np.cumsum([len(chan) for chan in details])[:-1]))
+    cuts = np.cumsum([0] + [len(chan) for chan in details]).tolist()
+    pieces = iter(mapped[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:]))
     levels = [replace(level, channels=[level.channels[0].copy()]
                       + [next(pieces) for _ in level.channels[1:]])
               for level in pyramid.levels]

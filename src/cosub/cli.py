@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio
+from . import fileio, filterbank
 from .applications import best_depth_nla, compression_ratio, denoise, psnr, snr
 from .filterbank import analyze_cascade, build_operators, compute_atoms, synthesize_level
 from .fileio import MANIFEST_VERSION
@@ -459,7 +459,7 @@ def main(argv=None) -> int:
     args.argv = argv  # what `analyze` records as the manifest's "command"
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, filterbank.BlockSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:

@@ -8,8 +8,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
-                     component_count, split_adjacency)
+from .graphs import SubgraphPartition, WeightedGraph, as_signal, coarsen, split_adjacency
 from .partition import PartitionConfig, edge_aware_adjacency, louvain
 from .spectral import LocalEigenBasis, eigenbasis_stack
 
@@ -185,10 +184,18 @@ def _csc(n: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> s
                          shape=(n, len(indptr) - 1))
 
 
+# The largest subgraph accepted: s nodes cost O(s^3) time and six (s, s) arrays (README).
+MAX_BLOCK_SIZE = 2048
+
+
+class BlockSizeError(ValueError):
+    """A subgraph above `MAX_BLOCK_SIZE` nodes."""
+
+
 def _distinct_laplacians(a_int: WeightedGraph, partition: SubgraphPartition,
-                         local_rank: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
-    """Dense Laplacians of the level's distinct blocks, in first-seen order,
-    and each block's index into them.
+                         local_rank: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Per size s, largest first: the blocks of size s (ascending label), each
+    one's row among the distinct ones, and their Laplacians as one (d, s, s) array.
 
     A block is keyed by its size and the bytes of its local (row, col,
     weight) edge arrays.  Edge weights are positive, so two keys are equal
@@ -208,21 +215,22 @@ def _distinct_laplacians(a_int: WeightedGraph, partition: SubgraphPartition,
     local = np.stack([local_rank[bu[order]], local_rank[bv[order]],
                       bw[order].view(np.int64)], axis=1)
     slot_of: dict = {}
-    slots = [slot_of.setdefault((size, local[lo:hi].tobytes()), len(slot_of))
-             for size, lo, hi in zip(sizes.tolist(), bounds[:-1], bounds[1:])]
-    laplacians = []
-    for k, slot in enumerate(slots):
-        if slot < len(laplacians):
-            continue
-        rows, cols, weights = local[bounds[k]:bounds[k + 1]].T
-        weights = weights.view(np.float64)
-        adj = np.zeros((sizes[k], sizes[k]))
-        adj[rows, cols] = weights
-        adj[cols, rows] = weights
-        lap = -adj
-        lap[np.diag_indices(sizes[k])] = adj.sum(axis=1)
-        laplacians.append(lap)
-    return laplacians, slots
+    slots = np.array([slot_of.setdefault((size, local[lo:hi].tobytes()), len(slot_of))
+                      for size, lo, hi in zip(sizes.tolist(), bounds[:-1], bounds[1:])])
+    classes = []
+    for size in np.unique(sizes)[::-1].tolist():
+        blocks = np.flatnonzero(sizes == size)
+        # Slots are numbered in first-seen order, so `rows` keeps it.
+        _, first, rows = np.unique(slots[blocks], return_index=True, return_inverse=True)
+        laps = np.zeros((len(first), size, size))
+        for lap, k in zip(laps, blocks[first].tolist()):
+            r, c, w = local[bounds[k]:bounds[k + 1]].T
+            lap[r, c] = lap[c, r] = w.view(np.float64)
+        # Adjacency to Laplacian in place; each stacked row sum has the bits of its block's own.
+        laps[:, np.arange(size), np.arange(size)] = -laps.sum(axis=2)
+        np.negative(laps, out=laps)
+        classes.append((blocks, rows, laps))
+    return classes
 
 
 def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
@@ -232,12 +240,14 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
 
     Only the distinct blocks (`_distinct_laplacians`) are solved, one
     `eigenbasis_stack` per size class; every block with the same Laplacian
-    bytes uses that basis row.
+    bytes uses that basis row.  The eigensolve rejects a disconnected subgraph;
+    one above `MAX_BLOCK_SIZE` nodes raises `BlockSizeError` before any dense allocation.
     """
     a_int, a_ext = split_adjacency(graph, partition)
-    if component_count(a_int) != partition.n_subgraphs:
-        raise ValueError("every subgraph of the partition must be connected")
     sizes = partition.sizes
+    if sizes.max() > MAX_BLOCK_SIZE:
+        raise BlockSizeError(f"subgraph {sizes.argmax() + 1} has {sizes.max()} nodes, above "
+                             f"the block-size bound of {MAX_BLOCK_SIZE}")
     start = np.cumsum(sizes) - sizes
     # Every subgraph's nodes, one subgraph after another (the block order),
     # and the local mode index of every coefficient in block order, which is
@@ -249,16 +259,11 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     order = np.argsort(mode, kind="stable")
     position = np.empty(graph.n, dtype=np.int64)
     position[order] = np.arange(graph.n)
-    laplacians, slots = _distinct_laplacians(a_int, partition, local_rank)
-    slots = np.array(slots)
     classes = []
-    for size in np.unique(sizes)[::-1].tolist():
-        blocks = np.flatnonzero(sizes == size)
-        # Slots are numbered in first-seen order, so `rows` keeps it.
-        distinct, rows = np.unique(slots[blocks], return_inverse=True)
-        stacks = eigenbasis_stack(np.stack([laplacians[k] for k in distinct]), p)
-        cells = start[blocks][:, None] + np.arange(size)
-        classes.append(SizeClass(block_nodes[cells], position[cells], rows, *stacks, p))
+    for blocks, rows, laplacians in _distinct_laplacians(a_int, partition, local_rank):
+        cells = start[blocks][:, None] + np.arange(laplacians.shape[1])
+        classes.append(SizeClass(block_nodes[cells], position[cells], rows,
+                                 *eigenbasis_stack(laplacians, p), p))
     return LevelOperators(partition=partition, classes=tuple(classes), order=order,
                           offsets=np.concatenate([[0], np.cumsum(np.bincount(mode))]),
                           a_int=a_int, a_ext=a_ext)
@@ -281,8 +286,8 @@ def analyze_level(signal, graph: WeightedGraph, operators: LevelOperators,
     for c in operators.classes:
         flat[c.positions] = np.matmul(c.per_block(c.analysis).transpose(0, 2, 1),
                                       x[c.nodes][..., None])[..., 0]
-    channels = np.split(flat, operators.offsets[1:-1])
-    return channels, coarsen(a_ext, operators.partition)
+    cuts = operators.offsets.tolist()
+    return [flat[a:b] for a, b in zip(cuts[:-1], cuts[1:])], coarsen(a_ext, operators.partition)
 
 
 def synthesize_level(channels: list[np.ndarray], operators: LevelOperators) -> np.ndarray:

@@ -239,16 +239,11 @@ def connected_components(graph: WeightedGraph) -> SubgraphPartition:
     return SubgraphPartition.compact(raw)
 
 
-def component_count(graph: WeightedGraph) -> int:
-    """Number of connected components, isolated nodes included."""
-    return int(csgraph.connected_components(_one_sided(graph), directed=False,
-                                            return_labels=False))
-
-
 def partition_is_connected(graph: WeightedGraph, partition: SubgraphPartition) -> bool:
     """True when every label class induces a connected subgraph."""
     a_int, _ = split_adjacency(graph, partition)
-    return component_count(a_int) == partition.n_subgraphs
+    return csgraph.connected_components(_one_sided(a_int), directed=False,
+                                        return_labels=False) == partition.n_subgraphs
 
 
 def coarsen(graph: WeightedGraph, partition: SubgraphPartition) -> WeightedGraph:
@@ -277,13 +272,10 @@ def coarsen(graph: WeightedGraph, partition: SubgraphPartition) -> WeightedGraph
 def global_eigenbasis(graph: WeightedGraph, p: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Canonical eigendecomposition of the full-graph Laplacian.
 
-    Requires a connected graph; eigenvalues ascend and eigenvectors follow the
-    deterministic sign and degeneracy rules of the spectral module.
+    Requires a connected graph, which the eigensolve checks; eigenvalues ascend
+    and eigenvectors follow the deterministic sign and degeneracy rules of the spectral module.
     """
     from .spectral import laplacian_eigh
-
-    if connected_components(graph).n_subgraphs != 1:
-        raise ValueError("global Fourier transform requires a connected graph")
     return laplacian_eigh(laplacian(graph), p)
 
 

@@ -216,7 +216,8 @@ def _eigh_stack(laps: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     starts = np.ones((k, n), dtype=bool)
     starts[:, 1:] = np.diff(w, axis=1) > tol[:, None]
     if n > 1 and not starts[:, 1].all():
-        raise ValueError("zero eigenvalue has multiplicity > 1; subgraph is disconnected")
+        raise ValueError("zero eigenvalue has multiplicity > 1; subgraph is disconnected, or its "
+                         "weights are too small (tolerance 1e-8 * max(1, largest eigenvalue))")
     w[:, 0] = 0.0
 
     q = np.empty((k, n, n))

@@ -184,16 +184,85 @@ def test_git_head_names_the_checked_out_commit(tmp_path):
     assert len(head) == 40 and ab_pairs.git_head(tmp_path) == head
 
 
+def traced_stub_runs(monkeypatch):
+    """Stub runs as `stub_runs`; a traced run also has a `trace.per_layer`
+    section whose values count the traced runs of its side (1, 2, 3, ...).
+    Returns the list of (side, trace) calls."""
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, out, trace=0):
+        side = checkout.name
+        calls.append((side, trace))
+        record = stub_record(workload, seed, 0.5 if side == "change" else 1.0, "d" * 64)
+        if trace:
+            k = sum(1 for c in calls if c == (side, 1))
+            scale = 1.0 if side == "parent" else 0.25
+            record["trace"] = {"per_layer": {
+                "graphs.self_s": {"value": scale * k, "unit": "s"},
+                "spectral.multiplet_max": {"value": 7, "unit": "count"}}}
+        return record
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    return calls
+
+
+def test_traced_runs_add_per_layer_medians(tmp_path, monkeypatch, capsys):
+    parent, change = checkouts(tmp_path)
+    stub_runs(monkeypatch)
+    out = tmp_path / "plain.json"
+    assert compare(parent, change, "--out", str(out)) == 0
+    plain = capsys.readouterr().out.splitlines()
+    calls = traced_stub_runs(monkeypatch)
+    out = tmp_path / "traced.json"
+    assert compare(parent, change, "--out", str(out), "--traced", "3") == 0
+    printed = capsys.readouterr().out.splitlines()
+    # The pairs run untraced, then three traced runs per side, first side alternating.
+    assert calls[:20] == [(side, 0) for side in ["parent", "change", "change", "parent"] * 5]
+    assert calls[20:] == [("parent", 1), ("change", 1), ("change", 1), ("parent", 1),
+                          ("parent", 1), ("change", 1)]
+    assert printed[:len(plain)] == plain
+    assert printed[len(plain):] == [
+        "per-layer medians of 3 traced runs per side:",
+        "graphs.self_s [s]: parent 2 -> change 0.5 (-75.0%)",
+        "spectral.multiplet_max [count]: parent 7 -> change 7 (+0.0%)"]
+    assert out.stat().st_size < 100_000
+    data = json.loads(out.read_text())
+    assert data["printed"] == printed
+    assert data["traced"] == {
+        "runs": 3,
+        "parent": {"graphs.self_s": {"unit": "s", "values": [1.0, 2.0, 3.0], "median": 2.0},
+                   "spectral.multiplet_max": {"unit": "count", "values": [7, 7, 7],
+                                              "median": 7}},
+        "change": {"graphs.self_s": {"unit": "s", "values": [0.25, 0.5, 0.75], "median": 0.5},
+                   "spectral.multiplet_max": {"unit": "count", "values": [7, 7, 7],
+                                              "median": 7}}}
+
+
+def test_negative_traced_count_is_rejected(tmp_path, monkeypatch):
+    parent, change = checkouts(tmp_path)
+    traced_stub_runs(monkeypatch)
+    with pytest.raises(SystemExit):
+        compare(parent, change, "--traced", "-1")
+
+
 OUT_KEYS = {"workload", "seed", "pairs", "run_seconds", "trees", "first", "runs", "summary",
             "printed", "verdicts"}
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_committed_comparisons_have_the_out_schema(path):
-    """Every root BENCH_*.json is an `ab_pairs.py --out` file under 100 KB."""
+    """Every root BENCH_*.json is an `ab_pairs.py --out` file under 100 KB,
+    with a "traced" section when it was made with --traced."""
     assert path.stat().st_size < 100_000
     data = json.loads(path.read_text())
-    assert set(data) == OUT_KEYS
+    assert set(data) - {"traced"} == OUT_KEYS
+    if "traced" in data:
+        traced = data["traced"]
+        assert set(traced) == {"runs", "parent", "change"} and traced["runs"] >= 1
+        for side in ("parent", "change"):
+            assert traced[side]
+            for entry in traced[side].values():
+                assert set(entry) == {"unit", "values", "median"}
+                assert len(entry["values"]) == traced["runs"]
     pairs = data["pairs"]
     assert set(data["trees"]) == {"parent", "change"}
     assert all(set(tree) == {"path", "head"} for tree in data["trees"].values())

@@ -325,6 +325,31 @@ class TestAnalyzeSynthesize:
         assert code == 2
         assert "disconnected" in capsys.readouterr().err
 
+    def test_block_above_the_size_bound_is_usage_error(self, tmp_path, capsys):
+        from cosub.filterbank import MAX_BLOCK_SIZE
+        s = MAX_BLOCK_SIZE + 1
+        graph, signal, part = tmp_path / "line.tsv", tmp_path / "x.csv", tmp_path / "p.txt"
+        fileio.write_edge_list(line_graph(s + 2), graph)
+        fileio.write_signal(np.arange(s + 2.0), signal)
+        fileio.write_partition(SubgraphPartition.from_labels([1, 1] + [2] * s), part)
+        code = main(["analyze", "--graph", str(graph), "--signal", str(signal),
+                     "--partition", str(part), "--levels", "1", "--outdir", str(tmp_path / "r")])
+        assert code == 2
+        assert (f"subgraph 2 has {s} nodes, above the block-size bound of {MAX_BLOCK_SIZE}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
+
+    def test_detected_block_above_the_size_bound_is_usage_error(
+            self, toy_files, tmp_path, capsys, monkeypatch):
+        import cosub.filterbank
+        monkeypatch.setattr(cosub.filterbank, "MAX_BLOCK_SIZE", 2)
+        code = main(["analyze", "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]), "--method", "cosub", "--impl", "lc",
+                     "--levels", "1", "--outdir", str(tmp_path / "r")])
+        assert code == 2
+        assert "above the block-size bound of 2" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("label", ["99999999999999999999", str(-2**63 - 1)])
     def test_label_beyond_int64_is_usage_error(self, toy_files, tmp_path, capsys, label):
         bad = tmp_path / "big.txt"

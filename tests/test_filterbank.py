@@ -1,6 +1,7 @@
 """Level operators, analysis/synthesis round trips, the cascade and atoms."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,9 @@ from conftest import dense_operators, graphs_equal, local_laplacian
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph,
                    analyze_cascade, analyze_level, build_operators, compute_atoms,
                    connected_components, filterbank, grid_graph, haar_partition,
-                   line_graph, local_eigenbasis, partition_is_connected, sbm_graph,
-                   split_adjacency, synthesize_cascade, synthesize_level)
+                   line_graph, local_eigenbasis, louvain, partition_is_connected,
+                   sbm_graph, split_adjacency, synthesize_cascade, synthesize_level)
+from test_partition import block_graphs
 
 TOY_SECOND_LEVEL = SubgraphPartition.from_labels([1, 1])
 
@@ -158,6 +160,131 @@ class TestDistinctBlocks:
         for i in range(len(laps)):
             for j in range(i):
                 assert (bases[i] is bases[j]) == (keys[i] == keys[j])
+
+
+def reweighted(graph, rng):
+    """`graph` with log-uniform edge weights in [1e-3, 1e3]."""
+    u, v, _ = graph.edge_arrays()
+    w = 10.0 ** rng.uniform(-3.0, 3.0, len(u))
+    return WeightedGraph.from_edges(graph.n, zip(u.tolist(), v.tolist(), w.tolist()))
+
+
+@st.composite
+def weighted_partitioned_graphs(draw):
+    """A `tiled_grids` or `block_graphs` graph with log-uniform weights in
+    [1e-3, 1e3] and a partition: the tiling, or random labels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        graph, part = draw(tiled_grids())
+    else:
+        graph, part = draw(block_graphs()), None
+    if part is None or draw(st.booleans()):
+        part = SubgraphPartition.compact(rng.integers(0, draw(st.integers(1, graph.n)), graph.n))
+    return reweighted(graph, rng), part
+
+
+def spy_connectivity(monkeypatch):
+    """Record every csgraph component count and every call of
+    `partition_is_connected`, under the names the library modules hold."""
+    import cosub.graphs
+
+    calls = []
+
+    def spy(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+    monkeypatch.setattr(csgraph, "connected_components",
+                        spy("connected_components", csgraph.connected_components))
+    for module in (cosub.graphs, filterbank):
+        monkeypatch.setattr(module, "partition_is_connected",
+                            spy("partition_is_connected", cosub.graphs.partition_is_connected),
+                            raising=False)
+    return calls
+
+
+class TestConnectivityByEigensolve:
+    """`build_operators` proves connectivity only through the eigensolve:
+    a disconnected subgraph has a multiple zero eigenvalue."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=weighted_partitioned_graphs(), p=st.sampled_from([1, 2]))
+    def test_disconnected_partition_always_raises(self, case, p):
+        graph, part = case
+        if not partition_is_connected(graph, part):
+            with pytest.raises(ValueError, match="connected"):
+                build_operators(graph, part, p)
+
+    def test_no_component_count(self, monkeypatch, toy_graph, toy_partition):
+        graph = sbm_graph([20] * 10, 0.7, 0.02, 3)
+        part = SubgraphPartition.from_labels(np.repeat(np.arange(1, 11), 20))
+        calls = spy_connectivity(monkeypatch)
+        build_operators(toy_graph, toy_partition, p=1)
+        build_operators(graph, part, p=2)
+        with pytest.raises(ValueError, match="connected"):
+            build_operators(toy_graph, SubgraphPartition.from_labels([1, 1, 2, 2, 1]), p=1)
+        assert calls == []
+
+    def test_tiny_weights_name_the_tolerance(self):
+        # Connected blocks whose second eigenvalue falls under the absolute
+        # 1e-8 floor of the multiplet tolerance.
+        path = WeightedGraph.from_edges(5, [(i, i + 1, 1e-8) for i in range(4)])
+        part = SubgraphPartition.from_labels([1, 1, 1, 2, 2])
+        assert partition_is_connected(path, part)
+        message = ("zero eigenvalue has multiplicity > 1; subgraph is disconnected, or its "
+                   "weights are too small (tolerance 1e-8 * max(1, largest eigenvalue))")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_operators(path, part, p=1)
+        sbm = sbm_graph([10] * 5, 0.8, 0.05, 1)
+        u, v, w = sbm.edge_arrays()
+        tiny = WeightedGraph.from_edges(sbm.n, zip(u.tolist(), v.tolist(), (w * 1e-9).tolist()))
+        assert partition_is_connected(tiny, louvain(tiny, PartitionConfig("sc", seed=0)))
+        with pytest.raises(ValueError, match="weights are too small"):
+            analyze_cascade(tiny, np.ones(tiny.n), PartitionConfig("sc", seed=0))
+
+
+class TestBlockSizeBound:
+    def test_block_above_the_bound_is_rejected_before_allocation(self):
+        s = filterbank.MAX_BLOCK_SIZE + 1
+        graph = line_graph(s + 1)
+        part = SubgraphPartition.from_labels([1] + [2] * s)
+        tracemalloc.start()
+        try:
+            with pytest.raises(filterbank.BlockSizeError,
+                               match=f"subgraph 2 has {s} nodes, above the block-size bound "
+                                     f"of {s - 1}"):
+                build_operators(graph, part, p=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One dense (s, s) float array would take 8 s^2 bytes (33.6 MB).
+        assert peak < 1e6 < 8 * s * s
+        assert issubclass(filterbank.BlockSizeError, ValueError)
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(filterbank, "MAX_BLOCK_SIZE", 5)
+        graph = line_graph(11)
+        ops = build_operators(graph, SubgraphPartition.from_labels([1] * 5 + [2] * 5 + [3]), p=1)
+        assert ops.channel_sizes == [3, 2, 2, 2, 2]
+        with pytest.raises(filterbank.BlockSizeError, match="subgraph 2 has 6 nodes"):
+            build_operators(graph, SubgraphPartition.from_labels([1] * 5 + [2] * 6), p=2)
+
+
+def test_cascade_memory_on_a_sbm_sc_instance():
+    """tracemalloc peak of one 4-level SC cascade on the benchmark's 5,000-node
+    SBM (250 blocks of 20; the sbm-sc workload's first seed-1 instance).
+    8.04 MB when each level's Laplacians were listed and then stacked, 7.33 MB
+    when each size class is written into one stack."""
+    graph = sbm_graph([20] * 250, p_in=0.7, p_out=4.0 / 5000, seed=1835504127)
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, graph.n)
+    tracemalloc.start()
+    try:
+        analyze_cascade(graph, x, PartitionConfig("sc", seed=0), p=1, max_levels=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.6e6
 
 
 def assert_stacked_products_match_blocks(graph, part, ops, x):

@@ -1,7 +1,7 @@
 """Alternating benchmark runs of two checkouts, summarised per end-to-end metric.
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed N --pairs 10 \
-        [--out FILE]
+        [--out FILE] [--traced K]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of this repository, typically a
 parent commit and a change.  Each pair runs `perfbench/run.py` once in each,
@@ -22,6 +22,11 @@ as given on the command line and their `git rev-parse HEAD` (null outside a
 git work tree), the workload, seed and pair count, every run's end-to-end
 medians, digests and environment (not its per-call lists, which make up most
 of a record), the per-metric summary, the printed lines and the verdicts.
+
+With --traced K, after the pairs it makes K runs of each side with the
+tracer on (`perfbench/run.py --trace 1`, first side alternating) and prints,
+for every per-layer metric, each side's median over those runs; the --out
+file holds them under "traced", with each run's value.
 """
 
 from __future__ import annotations
@@ -88,11 +93,39 @@ def format_rows(rows: list[dict]) -> list[str]:
     return lines
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, out: Path) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, out: Path,
+             trace: int = 0) -> dict:
     subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(seconds), "--out", str(out)],
+                    "--seed", str(seed), "--seconds", str(seconds), "--out", str(out),
+                    *(["--trace", str(trace)] if trace else [])],
                    cwd=checkout, check=True, stdout=subprocess.DEVNULL)
     return json.loads(out.read_text())
+
+
+def traced_medians(per_layer: dict) -> dict:
+    """Per side, every per-layer metric's unit, its value in each traced
+    run (the `trace.per_layer` sections in `per_layer[side]`) and their
+    median.  A metric some run did not report is left out."""
+    out: dict = {}
+    for side, runs in per_layer.items():
+        out[side] = {}
+        for name in sorted(set.intersection(*(set(run) for run in runs))):
+            values = [run[name]["value"] for run in runs]
+            out[side][name] = {"unit": runs[0][name]["unit"], "values": values,
+                               "median": statistics.median(values)}
+    return out
+
+
+def format_traced(medians: dict, k: int) -> list[str]:
+    lines = [f"per-layer medians of {k} traced runs per side:"]
+    for name, parent in medians["parent"].items():
+        change = medians["change"].get(name)
+        if change is None:
+            continue
+        a, b = parent["median"], change["median"]
+        relative = f" ({b / a - 1.0:+.1%})" if a else ""
+        lines.append(f"{name} [{parent['unit']}]: parent {a:.6g} -> change {b:.6g}{relative}")
+    return lines
 
 
 def compact(record: dict) -> dict:
@@ -124,7 +157,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, help="also write the comparison to this JSON file")
+    parser.add_argument("--traced", type=int, default=0, metavar="K",
+                        help="also make K traced runs per side and report per-layer medians")
     args = parser.parse_args(argv)
+    if args.traced < 0:
+        parser.error("--traced must be non-negative")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict = {"parent": [], "change": []}
@@ -140,12 +177,22 @@ def main(argv=None) -> int:
             diff = differences(runs["parent"][-1], runs["change"][-1])
             digest_lines += [f"pair {i + 1}: {line}" for line in diff]
             print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+        per_layer: dict = {"parent": [], "change": []}
+        for i in range(args.traced):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                record = run_once(sides[side], args.workload, args.seed, bench["run_seconds"],
+                                  Path(tmp) / f"{side}-traced-{i}.json", trace=1)
+                per_layer[side].append(record["trace"]["per_layer"])
+            print(f"traced run {i + 1}/{args.traced} done", file=sys.stderr)
     rows = summary(bench["end_to_end"], [r["end_to_end"] for r in runs["parent"]],
                    [r["end_to_end"] for r in runs["change"]])
     printed = [f"{args.workload} seed {args.seed}, {args.pairs} pairs, "
                f"{bench['run_seconds']} s runs, first side alternating", *format_rows(rows)]
     printed += (["digests differ:", *digest_lines] if digest_lines
                 else ["every digest equal in every pair"])
+    if args.traced:
+        medians = traced_medians(per_layer)
+        printed += format_traced(medians, args.traced)
     print("\n".join(printed))
     if args.out:
         comparison = {
@@ -157,6 +204,8 @@ def main(argv=None) -> int:
             "verdicts": {"gains": [row["metric"] for row in rows if row["gain"]],
                          "digests_equal": not digest_lines},
         }
+        if args.traced:
+            comparison["traced"] = {"runs": args.traced, **medians}
         # Without indentation: 10 pairs of sbm-sc (8 digests per operation)
         # take about 83 KB, against 116 KB indented.
         args.out.write_text(json.dumps(comparison, sort_keys=True, separators=(",", ":")) + "\n")
