@@ -20,7 +20,8 @@ class WeightedGraph:
     unordered pair is stored once, as the parallel arrays of `edge_arrays`;
     they must not be mutated after construction.  Nothing else is stored:
     `adjacency` builds a new symmetric sparse matrix on every call.
-    `_checked` enforces this on all input; derived graphs use the raw `__init__`.
+    `_checked` enforces this on all input; derived graphs and `sbm_graph`,
+    valid by construction, use the raw `__init__`.
     """
 
     __slots__ = ("n", "_u", "_v", "_w")
@@ -66,12 +67,7 @@ class WeightedGraph:
         """Graph from parallel sequences of node indices and weights.  Names the
         first edge with a non-integer index, a self-loop, an index outside 0..n-1
         or a weight not positive and finite, in that priority; rejects repeats."""
-        if n % 1 != 0:
-            raise ValueError(f"node count {n} is not an integer")
-        if n < 1:
-            raise ValueError("graph needs at least one node")
-        if n > MAX_NODE_COUNT:
-            raise ValueError(f"node count {n} exceeds the maximum of {MAX_NODE_COUNT}")
+        _check_node_count(n)
         iu, iv = _node_indices(u), _node_indices(v)
         weights = _weights(w)
         lo, hi = np.minimum(iu, iv), np.maximum(iu, iv)
@@ -119,6 +115,16 @@ class WeightedGraph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WeightedGraph(n={self.n}, edges={self.num_edges})"
+
+
+def _check_node_count(n) -> None:
+    """`_checked`'s node-count test; generators run it before they allocate."""
+    if n % 1 != 0:
+        raise ValueError(f"node count {n} is not an integer")
+    if n < 1:
+        raise ValueError("graph needs at least one node")
+    if n > MAX_NODE_COUNT:
+        raise ValueError(f"node count {n} exceeds the maximum of {MAX_NODE_COUNT}")
 
 
 def _weights(values) -> np.ndarray:
@@ -294,8 +300,7 @@ def as_signal(values, n: int) -> np.ndarray:
 
 def line_graph(n: int) -> WeightedGraph:
     """Path graph 0-1-...-(n-1) with unit weights."""
-    if n < 1:
-        raise ValueError("line graph needs at least one node")
+    _check_node_count(n)
     idx = np.arange(n - 1, dtype=np.int64)
     return WeightedGraph(n, idx, idx + 1, np.ones(n - 1))
 
@@ -304,6 +309,7 @@ def grid_graph(rows: int, cols: int) -> WeightedGraph:
     """Regular 2-d grid with unit weights, node (r, c) at index r*cols + c."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
+    _check_node_count(rows * cols)
     idx = np.arange(rows * cols).reshape(rows, cols)
     u = np.concatenate([idx[:, :-1], idx[:-1]], axis=None)
     v = np.concatenate([idx[:, 1:], idx[1:]], axis=None)
@@ -321,40 +327,45 @@ def sbm_graph(block_sizes, p_in: float, p_out: float, seed: int) -> WeightedGrap
       pair in row-major order over all nodes (no draws when `p_out` is 0 or 1,
       and `p_out` 1 takes this path at any size);
     - otherwise a binomial edge count, then rejection-sampled cross pairs.
-    Time is linear in the pairs given a uniform, memory in the within-block
-    pairs and the edges kept: no table of all node pairs is built.
+    Kept pairs are int64 keys u * n + v in sorted runs; one sort of the keys
+    orders the edges, which are valid by construction and not re-checked.
+    Time is linear in the pairs given a uniform; memory is the within-block
+    pair draws plus the kept edges (no table of all node pairs).
     """
     sizes = [int(s) for s in block_sizes]
     if not sizes or min(sizes) < 1:
         raise ValueError("block sizes must be positive")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ValueError("need 0 <= p_out <= p_in <= 1")
+    n = sum(sizes)
+    _check_node_count(n)
     rng = np.random.default_rng(seed)
     size = np.asarray(sizes, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(size)])
-    n = int(offsets[-1])
     block_of = np.repeat(np.arange(len(sizes)), sizes)
 
     within_pairs = sum(s * (s - 1) // 2 for s in sizes)
-    us, vs = _within_block_pairs(size, offsets, within_pairs, p_in, rng)
+    runs = _within_block_keys(size, offsets, n, within_pairs, p_in, rng)
     cross_pairs = (n * (n - 1)) // 2 - within_pairs
     if cross_pairs > 0 and p_out > 0.0:
         if p_out == 1.0 or cross_pairs <= 2_000_000:
             # Row i's cross-block columns are exactly offsets[b(i) + 1] .. n-1,
             # so the k-th cross pair in row-major order lies in the first row
-            # whose running count exceeds k, and ends[row] - k columns before n.
+            # whose running count exceeds k, and ends[row] - k columns before
+            # n: its key is k + (row + 1) * n - ends[row].
             ends = np.cumsum(n - offsets[1:][block_of])
+            shift = np.arange(n, n * n + 1, n) - ends
             for start in range(0, cross_pairs, _CROSS_CHUNK):
                 m = min(_CROSS_CHUNK, cross_pairs - start)
                 k = (np.arange(start, start + m) if p_out == 1.0
                      else start + np.flatnonzero(rng.random(m) < p_out))
-                row = np.searchsorted(ends, k, side="right")
-                us.append(row)
-                vs.append(n - ends[row] + k)
+                runs.append(k + shift[np.searchsorted(ends, k, side="right")])
         else:
             # Large sparse regime: draw the edge count, then rejection-sample
             # distinct cross-block pairs.  A batch accepts, in draw order, the
-            # first occurrence of each valid pair not accepted before.
+            # first occurrence of each valid pair not accepted before: the
+            # accepted codes are distinct, so they hold the smallest first
+            # indices of their concatenation with the batch.
             count = int(rng.binomial(cross_pairs, p_out))
             codes = np.empty(0, dtype=np.int64)
             while len(codes) < count:
@@ -362,41 +373,37 @@ def sbm_graph(block_sizes, p_in: float, p_out: float, seed: int) -> WeightedGrap
                 a = rng.integers(0, n, size=batch)
                 b = rng.integers(0, n, size=batch)
                 valid = (a < b) & (block_of[a] != block_of[b])
-                drawn = a[valid] * n + b[valid]
-                _, first = np.unique(drawn, return_index=True)
-                drawn = drawn[np.sort(first)]
-                drawn = drawn[~np.isin(drawn, codes)]
-                codes = np.concatenate([codes, drawn[:count - len(codes)]])
-            us.append(codes // n)
-            vs.append(codes % n)
+                codes = np.concatenate([codes, a[valid] * n + b[valid]])
+                _, first = np.unique(codes, return_index=True)
+                codes = codes[np.sort(first)[:count]]
+            runs.append(np.sort(codes))
 
-    u, v = (np.concatenate(us), np.concatenate(vs)) if us else ([], [])
-    return WeightedGraph._checked(n, u, v, np.ones(len(u)))
+    key = np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+    key.sort(kind="stable")
+    u, v = np.divmod(key, n)
+    return WeightedGraph(n, u, v, np.ones(len(key)))
 
 
 # Uniforms drawn at a time for the cross-block pairs of the dense regime.
 _CROSS_CHUNK = 1 << 17
 
 
-def _within_block_pairs(size, offsets, total, p_in, rng):
-    """Lists of u and v arrays of the kept within-block pairs, one entry per
-    distinct block size.  The `total` pairs of all blocks are laid out in block
-    order and row-major within a block, and one `rng.random` draw covers them."""
+def _within_block_keys(size, offsets, n, total, p_in, rng):
+    """Sorted runs of the keys u * n + v of the kept within-block pairs, one
+    per distinct block size.  The `total` pairs of all blocks are laid out in
+    block order and row-major within a block, and one `rng.random` draw covers
+    them; block o's pair (i, j) has key i * n + j + o * (n + 1)."""
     pairs = size * (size - 1) // 2
     if total == 0 or p_in == 0.0:
-        return [], []
+        return []
     keep = rng.random(total) < p_in if p_in < 1.0 else None
     starts = np.cumsum(pairs) - pairs
-    us, vs = [], []
+    runs = []
     for s in np.unique(size[size > 1]).tolist():
         blocks = np.flatnonzero(size == s)
         iu, iv = np.triu_indices(s, k=1)
-        base = offsets[blocks][:, None]
-        if keep is None:
-            us.append((iu + base).ravel())
-            vs.append((iv + base).ravel())
-            continue
-        kept = keep[starts[blocks][:, None] + np.arange(len(iu))]
-        us.append((iu + base)[kept])
-        vs.append((iv + base)[kept])
-    return us, vs
+        keys = (iu * n + iv) + (offsets[blocks] * (n + 1))[:, None]
+        if keep is not None:
+            keys = keys[keep[starts[blocks][:, None] + np.arange(len(iu))]]
+        runs.append(keys.ravel())
+    return runs

@@ -175,10 +175,10 @@ def _split_disconnected(work: _WorkingGraph, comm: np.ndarray) -> np.ndarray:
     connected components (a strict modularity improvement).  Components are
     numbered by their smallest node."""
     adj = work.adj
-    rows = np.repeat(np.arange(work.n), np.diff(adj.indptr))
-    keep = comm[rows] == comm[adj.indices]
-    intra = sp.csr_matrix((np.ones(int(keep.sum())), (rows[keep], adj.indices[keep])),
-                          shape=adj.shape)
+    keep = np.repeat(comm, np.diff(adj.indptr)) == comm[adj.indices]
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    intra = sp.csr_matrix((np.ones(kept_before[-1]), adj.indices[keep],
+                           kept_before[adj.indptr]), shape=adj.shape)
     _, raw = csgraph.connected_components(intra, directed=False)
     return SubgraphPartition.compact(raw).labels - 1
 

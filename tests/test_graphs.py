@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import graphs_oracle as oracle
@@ -148,6 +148,59 @@ class TestCheckedEntry:
                           | st.sampled_from([1.0]))
         assert (outcome(sbm_graph, sizes, p_in, p_out, seed)
                 == outcome(oracle.sbm_graph, sizes, p_in, p_out, seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), sizes=st.lists(st.integers(1, 12) | st.just(1), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_checked_keeps_the_sbm_graph(self, data, sizes, seed):
+        """`sbm_graph` builds through the raw constructor: its output must
+        already be what `_checked` makes of it (int64 u < v sorted by (u, v),
+        no repeats, float64 weights)."""
+        p_in = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        p_out = data.draw(st.sampled_from([0.0, p_in]) | st.floats(0.0, p_in)
+                          | st.sampled_from([1.0]))
+        assume(p_out <= p_in)
+        g = sbm_graph(sizes, p_in, p_out, seed)
+        arrays = g.edge_arrays()
+        assert (outcome(WeightedGraph._checked, g.n, *arrays)
+                == outcome(lambda: g))
+
+    @pytest.mark.parametrize("args", [([3, 4, 5], 0.5, 0.05), ([1], 1.0, 1.0),
+                                      ([20] * 100, 0.7, 0.002), ([50] * 60, 0.3, 5e-4)],
+                             ids=["dense", "one-node", "2000-dense", "3000-sparse"])
+    def test_sbm_graph_does_not_recheck_its_edges(self, monkeypatch, args):
+        calls = []
+        checked = WeightedGraph._checked.__func__
+
+        def spy(cls, *a):
+            calls.append(a)
+            return checked(cls, *a)
+
+        monkeypatch.setattr(WeightedGraph, "_checked", classmethod(spy))
+        g = sbm_graph(*args, 1)
+        assert calls == []
+        assert outcome(lambda: g) == outcome(oracle.sbm_graph, *args, 1)
+
+    @pytest.mark.parametrize("build, n", [
+        (line_graph, MAX_NODE_COUNT + 1), (line_graph, 10**400),
+        (lambda n: grid_graph(2, n // 2), 2 * MAX_NODE_COUNT),
+        (lambda n: sbm_graph([n], 0.5, 0.1, 1), MAX_NODE_COUNT + 1),
+        (lambda n: sbm_graph([1, n - 1], 0.5, 0.1, 1), MAX_NODE_COUNT + 2),
+        # Block sizes whose int64 running sum would wrap around.
+        (lambda n: sbm_graph([2**62, 2**62], 0.5, 0.1, 1), 2**63)],
+        ids=["line", "line-huge", "grid", "sbm-one-block", "sbm-two-blocks", "sbm-wraps"])
+    def test_generators_check_the_node_count_first(self, build, n):
+        """A node count above the maximum is rejected before any node-indexed
+        array exists (one of 3e9 int64 entries alone takes 24 GB)."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^node count {n} exceeds the maximum of "
+                                                 f"{MAX_NODE_COUNT}$"):
+                build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @pytest.mark.parametrize("edges", [[(0, 1.7), (1.2, 2)], [(0, 1), (1, 2, 2.0), (2.5, 0)],
                                        [(0, np.float64(1.5))], [(0, 1), (np.nan, 2)]])
@@ -436,12 +489,13 @@ class TestGenerators:
         assert stats["mid_batch"] > 0
         assert max(stats["batches"]) > 1
 
-    @pytest.mark.parametrize("args, limit_mb", [(([20] * 100, 0.7, 0.002, 1), 8.0),
-                                                (([20] * 250, 0.7, 0.0008, 1), 6.0)],
+    @pytest.mark.parametrize("args, limit_mb", [(([20] * 100, 0.7, 0.002, 1), 2.0),
+                                                (([20] * 250, 0.7, 0.0008, 1), 3.0)],
                              ids=["2000-dense", "5000-sparse"])
     def test_sbm_memory_is_linear(self, args, limit_mb):
         """No table of all node pairs: a table of the 2,000-node graph's
-        1,999,000 pairs alone took over 60 MB."""
+        1,999,000 pairs alone took over 60 MB.  Re-checking and argsorting
+        the 5,000-node graph's 43,250 edges took its peak to 4.36 MB."""
         sbm_graph(*args)
         tracemalloc.start()
         try:

@@ -389,6 +389,19 @@ class TestLocalMovesMatchOracle:
             assert np.array_equal(split, ref_split)
             work = _aggregate(work, split)
 
+    @settings(max_examples=80, deadline=None)
+    @given(graph=block_graphs(), data=st.data())
+    def test_split_of_any_labelling_matches_oracle(self, graph, data):
+        """Arbitrary community ids, so that most communities are disconnected
+        and are split, on the working graph and on its aggregate."""
+        work = _WorkingGraph.from_graph(graph)
+        for _ in range(2):
+            comm = np.array(data.draw(st.lists(st.integers(0, 5), min_size=work.n,
+                                               max_size=work.n)), dtype=np.int64)
+            split = _split_disconnected(work, comm)
+            assert np.array_equal(split, oracle_split_disconnected(work, comm))
+            work = _aggregate(work, split)
+
     @settings(max_examples=40, deadline=None)
     @given(graph=block_graphs())
     def test_louvain_labels_match_oracle(self, graph):
