@@ -392,7 +392,7 @@ def _within_block_keys(size, offsets, n, total, p_in, rng):
     """Sorted runs of the keys u * n + v of the kept within-block pairs, one
     per distinct block size.  The `total` pairs of all blocks are laid out in
     block order and row-major within a block, and one `rng.random` draw covers
-    them; block o's pair (i, j) has key i * n + j + o * (n + 1)."""
+    them; pair (i, j) of the block at offset o has key i * n + j + o * (n + 1)."""
     pairs = size * (size - 1) // 2
     if total == 0 or p_in == 0.0:
         return []
