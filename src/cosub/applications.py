@@ -33,6 +33,8 @@ def psnr(reference, estimate) -> float:
     if mse == 0.0:
         return math.inf
     peak = float(np.abs(ref).max())
+    if peak == 0.0:
+        raise ValueError("PSNR needs a nonzero reference signal")
     return 10.0 * math.log10(peak * peak / mse)
 
 

@@ -124,6 +124,8 @@ def write_signal(values, path) -> None:
 
 def read_signal(path) -> np.ndarray:
     x = np.asarray(_values(float, Path(path).read_text().splitlines()), dtype=np.float64)
+    if not x.size:
+        raise ValueError(f"{path}: no signal values")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{path}: non-finite signal value")
     return x

@@ -90,103 +90,81 @@ def _nullspace(m: np.ndarray, dim: int) -> tuple[int, np.ndarray | None]:
     if m.shape[0] == 0:
         return dim, (np.ones(1) if dim == 1 else None)
     _, s, vt = np.linalg.svd(m, full_matrices=True)
-    # Constraint rows have natural scale <= 1; the floor keeps noise-only rows
-    # (projections of vectors already orthogonal to the subspace) rankless.
+    # Constraint rows have scale <= 1; the floor keeps noise-only rows rankless.
     tol = max(m.shape) * np.finfo(np.float64).eps * max(float(s[0]), 1.0)
-    rank = int(np.sum(s > tol))
-    null_dim = dim - rank
-    if null_dim == 1:
-        return 1, vt[-1]
-    return null_dim, None
+    null_dim = dim - int(np.sum(s > tol))
+    return null_dim, (vt[-1] if null_dim == 1 else None)
 
 
-def _canonicalize_by_search(eigenspace: np.ndarray, fixed, p: int) -> np.ndarray:
-    """Reference form of `canonicalize_degenerate`: one SVD per output vector.
+def _canonicalize_by_search(eigenspace: np.ndarray, p: int) -> np.ndarray:
+    """Reference form of the multiplet rule: one SVD per output vector.
 
-    Each vector's constraint rows (fixed vectors, vectors already produced,
-    trailing coordinates) are stacked and their one-dimensional null space is
-    searched for, releasing or adding trailing zeros until it exists.  This
-    handles every zero pattern, including those the closed form refuses.
+    Each vector's constraint rows (vectors already produced, trailing
+    coordinates) are stacked and their one-dimensional null space is searched
+    for, adding trailing zeros until it exists or releasing the ones that
+    leave no solution.  This handles every zero pattern of an (n, m)
+    eigenspace with m <= n, including those the closed form refuses.
     """
-    e = np.asarray(eigenspace, dtype=np.float64)
-    if e.ndim == 1:
-        e = e[:, None]
-    n, m = e.shape
+    n, m = eigenspace.shape
     # Work in an orthonormal coordinate frame of the subspace.
-    basis, _ = np.linalg.qr(e)
-    fixed = [np.asarray(f, dtype=np.float64) for f in (fixed if fixed is not None else [])]
-    fixed_rows = [f @ basis for f in fixed]
-    produced_dirs: list[np.ndarray] = []
+    basis, _ = np.linalg.qr(eigenspace)
+    produced_rows: list[np.ndarray] = []
     out = np.empty((n, m))
     for i in range(1, m + 1):
         zeros = m - i
-        coeffs = None
+        # At no zeros the i-1 produced rows leave a null space, all n rows of
+        # the frame leave none, and one more row lowers its dimension by at
+        # most one: the search stops in between.
         while True:
-            rows = list(fixed_rows) + [d @ basis for d in produced_dirs]
-            if zeros > 0:
-                rows.extend(basis[n - zeros:, :])
-            # Rows of negligible norm (vectors already orthogonal to the
-            # subspace, or coordinates absent from it) impose no constraint.
-            rows = [r for r in rows if np.linalg.norm(r) > NEGLIGIBLE_ROW_NORM]
-            mat = np.vstack(rows) if rows else np.empty((0, m))
-            null_dim, vec = _nullspace(mat, m)
+            # Rows of coordinates absent from the subspace (negligible norm)
+            # impose no constraint.
+            rows = [r for r in produced_rows + list(basis[n - zeros:])
+                    if np.linalg.norm(r) > NEGLIGIBLE_ROW_NORM]
+            null_dim, coeffs = _nullspace(np.reshape(rows, (-1, m)), m)
             if null_dim == 1:
-                coeffs = vec
                 break
-            if null_dim < 1:
-                zeros -= 1
-                if zeros < 0:
-                    raise ValueError("degenerate eigenspace admits no canonical vector")
-            else:
-                zeros += 1
-                if zeros > n:
-                    raise ValueError("degenerate eigenspace cannot be pinned down")
+            zeros += 1 if null_dim > 1 else -1
         v = basis @ coeffs
-        if zeros > 0:
-            v[n - zeros:] = 0.0
-        direction = v / np.linalg.norm(v)
-        produced_dirs.append(direction)
+        v[n - zeros:] = 0.0
+        produced_rows.append((v / np.linalg.norm(v)) @ basis)
         out[:, i - 1] = _sign_canonicalize(lp_normalize(v, p))
     return out
 
 
-def canonicalize_degenerate(eigenspace: np.ndarray, fixed, p: int) -> np.ndarray:
-    """Deterministic basis of a degenerate eigenspace.
+def canonicalize_degenerate(eigenspace: np.ndarray, p: int) -> np.ndarray:
+    """Deterministic basis of a degenerate eigenspace, given as n x m, m <= n.
 
     Vector i (1-based) of an m-dimensional eigenspace gets its last (m - i)
-    coefficients forced to exactly zero and must be orthogonal to all `fixed`
-    vectors and to the i-1 vectors already produced; the surviving direction
-    is Lp-normalized with its first non-zero coefficient positive.  When the
-    zero pattern leaves no solution the trailing-zero constraints are released
-    one position at a time; when it leaves several, further trailing positions
-    are zeroed until the direction is pinned down.
+    coefficients forced to exactly zero and must be orthogonal to the i-1
+    vectors already produced; the surviving direction is Lp-normalized with
+    its first non-zero coefficient positive.  When the zero pattern leaves no
+    solution the trailing-zero constraints are released one position at a
+    time; when it leaves several, further trailing positions are zeroed until
+    the direction is pinned down.
 
     Generic case, in one factorization: let B be an orthonormal frame of the
     subspace and U the complete QR factor of its last m-1 rows (last node
     first, as columns).  U[:, :k] spans the last k rows, so U[:, m-i] is the
     unit direction orthogonal to the last m-i rows and to U[:, m-i+1:], the
     vectors produced before it, and vector i is B @ U[:, m-i].  Multiplets
-    whose trailing rows are (nearly) dependent, or that some `fixed` vector
-    does not stay orthogonal to, go through `_canonicalize_by_search`.
+    whose trailing rows are (nearly) dependent go through
+    `_canonicalize_by_search`.
     """
     e = np.asarray(eigenspace, dtype=np.float64)
     if e.ndim == 1:
         e = e[:, None]
     n, m = e.shape
-    fixed = [] if fixed is None else [np.asarray(f, dtype=np.float64) for f in fixed]
-    if fixed:
-        basis, _ = np.linalg.qr(e)
-        if any(np.linalg.norm(f @ basis) > NEGLIGIBLE_ROW_NORM for f in fixed):
-            return _canonicalize_by_search(e, fixed, p)
     if m > n:
-        return _canonicalize_by_search(e, fixed, p)
+        raise ValueError(f"eigenspace of shape {e.shape} has more columns than rows")
+    if not np.isfinite(e).all():
+        raise ValueError("eigenspace must be finite")
     return _canonicalize_multiplets(e[None], p)[0]
 
 
 def _canonicalize_multiplets(eigenspaces: np.ndarray, p: int) -> np.ndarray:
-    """`canonicalize_degenerate` without fixed vectors for a (k, n, m) stack of
-    eigenspaces, one stacked QR pair for all of them; the non-generic ones go
-    through `_canonicalize_by_search` one at a time."""
+    """`canonicalize_degenerate` for a (k, n, m) stack of eigenspaces, one
+    stacked QR pair for all of them; the non-generic ones go through
+    `_canonicalize_by_search` one at a time."""
     _, n, m = eigenspaces.shape
     basis, _ = np.linalg.qr(eigenspaces)
     u, r = np.linalg.qr(basis[:, :n - m:-1].transpose(0, 2, 1), mode="complete")
@@ -196,7 +174,7 @@ def _canonicalize_multiplets(eigenspaces: np.ndarray, p: int) -> np.ndarray:
     out[:, n - m + 1:] = np.triu(out[:, n - m + 1:], 1)
     out[generic] = _canonical_columns(out[generic], p)
     for i in np.flatnonzero(~generic):
-        out[i] = _canonicalize_by_search(eigenspaces[i], None, p)
+        out[i] = _canonicalize_by_search(eigenspaces[i], p)
     return out
 
 
@@ -205,6 +183,8 @@ def _eigh_stack(laps: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     vectorized multiplet grouping, and one `_canonicalize_multiplets` call per
     multiplet size."""
     k, n, _ = laps.shape
+    if not np.isfinite(laps).all():
+        raise ValueError("Laplacian must be finite")
     scale = np.maximum(1.0, np.abs(laps).max(axis=(1, 2)))
     if np.any(np.abs(laps - laps.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10 * scale):
         raise ValueError("Laplacian must be symmetric")
@@ -272,7 +252,10 @@ def _dual_bases(q: np.ndarray) -> np.ndarray:
 
 def dual_basis(q: np.ndarray) -> np.ndarray:
     """Synthesis basis P with P.T == inv(Q), obtained by solving Q.T P = I."""
-    return _dual_bases(np.asarray(q, dtype=np.float64)[None])[0]
+    q = np.asarray(q, dtype=np.float64)
+    if not np.isfinite(q).all():
+        raise ValueError("analysis basis must be finite")
+    return _dual_bases(q[None])[0]
 
 
 def eigenbasis_stack(laplacians: np.ndarray, p: int) -> tuple[np.ndarray, ...]:

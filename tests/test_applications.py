@@ -34,6 +34,11 @@ class TestMetrics:
         with pytest.raises(ValueError, match="reference"):
             snr(np.zeros(3), np.ones(3))
 
+    def test_psnr_zero_reference_rejected(self):
+        with pytest.raises(ValueError, match="PSNR needs a nonzero reference signal"):
+            psnr(np.zeros(3), np.ones(3))
+        assert psnr(np.zeros(3), np.zeros(3)) == math.inf
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             psnr(np.zeros(3), np.zeros(4))

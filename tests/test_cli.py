@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +91,14 @@ class TestFileFormats:
         path = tmp_path / "x.csv"
         path.write_text(f"1.0\n{bad}\n0.5\n")
         with pytest.raises(ValueError, match="non-finite"):
+            fileio.read_signal(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n"],
+                             ids=["empty", "blank", "comment"])
+    def test_signal_without_values_rejected(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no signal values")):
             fileio.read_signal(path)
 
     def test_partition_zero_based_flag(self, tmp_path):
@@ -640,6 +650,24 @@ class TestOtherCommands:
         printed = capsys.readouterr().out
         assert "psnr: inf" in printed
         assert "snr: inf" in printed
+
+    def test_metrics_empty_signal_is_usage_error(self, toy_files, capsys):
+        empty = toy_files["dir"] / "empty.csv"
+        empty.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["metrics", "--reference", str(toy_files["signal"]),
+                         "--estimate", str(empty)])
+        assert code == 2
+        assert f"{empty}: no signal values" in capsys.readouterr().err
+
+    def test_metrics_zero_reference(self, toy_files, capsys):
+        zero = toy_files["dir"] / "zero.csv"
+        fileio.write_signal(np.zeros(5), zero)
+        code = main(["metrics", "--reference", str(zero),
+                     "--estimate", str(toy_files["signal"])])
+        assert code == 3
+        assert "PSNR needs a nonzero reference signal" in capsys.readouterr().err
 
     def test_metrics_with_ratio(self, toy_files, capsys):
         code = main(["metrics", "--reference", str(toy_files["signal"]),

@@ -115,7 +115,10 @@ class TestReadersMatchTheLineByLineOracle:
         lines = data.draw(st.lists(self.VALUE, max_size=8) | st.lists(self.VALUE | self.OTHER,
                                                                        max_size=8))
         _write(scratch, lines, newline, trailing)
-        assert outcome(fileio.read_signal, scratch) == outcome(oracle.read_signal, scratch)
+        want = outcome(oracle.read_signal, scratch)
+        if want == ("<f8", b""):  # the oracle predates the check for a file without values
+            want = ValueError, f"{scratch}: no signal values"
+        assert outcome(fileio.read_signal, scratch) == want
 
     @settings(max_examples=200)
     @given(data=st.data(), newline=NEWLINE, trailing=st.booleans(), zero_based=st.booleans())
@@ -217,6 +220,10 @@ class TestRoundTrips:
     def test_signal(self, scratch, values):
         x = np.array(values, dtype=np.float64)
         fileio.write_signal(x, scratch)
+        if not values:
+            with pytest.raises(ValueError, match="no signal values"):
+                fileio.read_signal(scratch)
+            return
         back = fileio.read_signal(scratch)
         assert back.dtype == x.dtype and back.tobytes() == x.tobytes()
 

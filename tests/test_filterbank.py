@@ -668,6 +668,67 @@ def _subgraph_trees(pyramid):
     return trees
 
 
+@st.composite
+def weighted_graphs(draw):
+    """Connected or two-component graphs of 6-48 nodes, each component a
+    random spanning tree plus extra edges, with log-uniform weights in
+    [0.1, 10]: lambda_2 stays far above the 1e-8 multiplet tolerance."""
+    n = draw(st.integers(6, 48))
+    cut = n if draw(st.booleans()) else draw(st.integers(3, n - 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = set()
+    for lo, hi in ((0, cut), (cut, n)):
+        edges.update((int(rng.integers(lo, v)), v) for v in range(lo + 1, hi))
+        for u, v in rng.integers(lo, hi, (int(rng.integers(0, 2 * (hi - lo) + 1)), 2)):
+            if u != v:
+                edges.add((int(min(u, v)), int(max(u, v))))
+    w = 10.0 ** rng.uniform(-1.0, 1.0, len(edges))
+    return WeightedGraph.from_edges(n, [(u, v, x) for (u, v), x in zip(sorted(edges), w)])
+
+
+class TestInvariantsOnWeightedGraphs:
+    """The paper's invariants as properties of detected cascades on weighted
+    graphs, rather than as equality with an oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=weighted_graphs(), p=st.sampled_from([1, 2]),
+           config=st.sampled_from([PartitionConfig("sc", seed=3),
+                                   PartitionConfig("lc", tau=8, seed=3),
+                                   PartitionConfig("sc", seed=3, edge_aware=True)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cascade_invariants(self, graph, p, config, seed):
+        x = np.random.default_rng(seed).normal(size=graph.n)
+        pyramid = analyze_cascade(graph, x, config, p=p, max_levels=3)
+        error = np.abs(synthesize_cascade(pyramid) - x).max()
+        assert error <= 1e-10 * np.abs(x).max()
+        level_graph = graph
+        for level in pyramid.levels:
+            ops, part = level.operators, level.partition
+            assert sum(len(c) for c in level.channels) == level.n
+            assert partition_is_connected(level_graph, part)
+            if config.variant == "lc":
+                assert part.sizes.max() <= config.tau
+            gram = (ops._stacked("synthesis").T @ ops._stacked("analysis")).toarray()
+            assert np.abs(gram - np.eye(level.n)).max() <= 1e-10
+            level_graph = level.coarse_graph
+        atoms = compute_atoms(pyramid)
+        for j, tree in enumerate(_subgraph_trees(pyramid)):
+            ops = pyramid.levels[j].operators
+            channels = {1: atoms.approximation[j], **atoms.details[j]}
+            for l, mat in channels.items():
+                dense = mat.toarray()
+                for col, label in enumerate(ops.index_lists[l - 1]):
+                    outside = np.setdiff1d(np.arange(graph.n), tree[label - 1])
+                    assert np.all(dense[outside, col] == 0.0)
+                if p == 1 and l > 1:
+                    assert np.abs(dense.sum(axis=0)).max() <= 1e-10
+        again = analyze_cascade(graph, x, config, p=p, max_levels=3)
+        assert again.num_levels == pyramid.num_levels
+        for a, b in zip(again.levels, pyramid.levels):
+            assert [c.tobytes() for c in a.channels] == [c.tobytes() for c in b.channels]
+        assert again.final_approximation.tobytes() == pyramid.final_approximation.tobytes()
+
+
 def grid_pyramid(side: int):
     """The cascade of a side x side grid over fixed square tiles, 8 x 8 at
     level 1, then 4 x 4 while the coarse side allows, then one tile."""

@@ -2,6 +2,7 @@
 
 import re
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -110,25 +111,23 @@ class TestLocalEigenbasis:
 class TestCanonicalizeDegenerate:
     def test_triangle_multiplet(self):
         eigenspace = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        fixed = [np.ones(3) / np.sqrt(3)]
-        out = canonicalize_degenerate(eigenspace, fixed, p=1)
+        out = canonicalize_degenerate(eigenspace, p=1)
         assert np.allclose(out[:, 0], [1 / 2, -1 / 2, 0.0], atol=1e-12)
         assert np.allclose(out[:, 1], [1 / 4, 1 / 4, -1 / 2], atol=1e-12)
         assert out[2, 0] == 0.0  # forced coefficient is exactly zero
 
     def test_simple_eigenvalue_passthrough(self):
-        out = canonicalize_degenerate(np.array([-3.0, 4.0]).reshape(2, 1), [], p=2)
+        out = canonicalize_degenerate(np.array([-3.0, 4.0]).reshape(2, 1), p=2)
         assert np.allclose(out[:, 0], [0.6, -0.8], atol=1e-15)
 
     def test_star_leaf_multiplet(self):
         # Hand-built eigenspace of the star's unit eigenvalue: leaf values
         # summing to zero, hub fixed at zero.
         eigenspace = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        fixed = [np.full(4, 0.5)]
-        out = canonicalize_degenerate(eigenspace, fixed, p=1)
+        out = canonicalize_degenerate(eigenspace, p=1)
         assert np.allclose(out[:, 0], [0.0, 0.5, -0.5, 0.0], atol=1e-12)
         assert np.allclose(out[:, 1], [0.0, 0.25, 0.25, -0.5], atol=1e-12)
-        again = canonicalize_degenerate(eigenspace, fixed, p=1)
+        again = canonicalize_degenerate(eigenspace, p=1)
         assert np.array_equal(out, again)
 
     def test_star_via_full_decomposition(self):
@@ -141,7 +140,7 @@ class TestCanonicalizeDegenerate:
         # Eigenspace entirely supported away from the last coordinate: the
         # trailing-zero constraint is vacuous and must extend deterministically.
         eigenspace = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
-        out = canonicalize_degenerate(eigenspace, [], p=2)
+        out = canonicalize_degenerate(eigenspace, p=2)
         assert out.shape == (4, 2)
         assert np.abs(out.T @ out - np.eye(2)).max() < 1e-12
         assert np.all(out[3, :] == 0.0)
@@ -192,10 +191,9 @@ def symmetric_laplacians(draw):
 
 
 def _multiplets(lap):
-    """(multiplet eigenvectors, eigenvectors of all lower eigenvalues) pairs."""
+    """The eigenvectors of each multiple eigenvalue, one block per multiplet."""
     w, v = np.linalg.eigh(lap)
-    return [(v[:, start:stop], v[:, :start]) for start, stop in oracle._group_eigenvalues(w)
-            if stop - start > 1]
+    return [v[:, start:stop] for start, stop in oracle._group_eigenvalues(w) if stop - start > 1]
 
 
 class TestCanonicalizeAgreement:
@@ -204,9 +202,9 @@ class TestCanonicalizeAgreement:
     @settings(max_examples=60, deadline=None)
     @given(lap=symmetric_laplacians(), p=st.sampled_from([1, 2]))
     def test_matches_reference_search(self, lap, p):
-        for block, _ in _multiplets(lap):
-            fast = canonicalize_degenerate(block, None, p)
-            ref = spectral._canonicalize_by_search(block, None, p)
+        for block in _multiplets(lap):
+            fast = canonicalize_degenerate(block, p)
+            ref = spectral._canonicalize_by_search(block, p)
             assert np.abs(fast - ref).max() <= 1e-12
             # Column c has its last m-1-c entries forced to exactly zero
             # wherever the reference forces them too.
@@ -214,16 +212,7 @@ class TestCanonicalizeAgreement:
             for c in range(m):
                 forced = min(n - 1 - np.flatnonzero(ref[:, c])[-1], m - 1 - c)
                 assert np.all(fast[n - forced:, c] == 0.0)
-            assert np.array_equal(fast, canonicalize_degenerate(block, None, p))
-
-    @settings(max_examples=30, deadline=None)
-    @given(lap=symmetric_laplacians(), p=st.sampled_from([1, 2]))
-    def test_earlier_eigenvectors_constrain_nothing(self, lap, p):
-        # Eigenspaces of a symmetric matrix are mutually orthogonal, so
-        # passing the eigenvectors of lower eigenvalues as `fixed` is moot.
-        for block, earlier in _multiplets(lap):
-            with_fixed = canonicalize_degenerate(block, list(earlier.T), p)
-            assert np.abs(with_fixed - canonicalize_degenerate(block, None, p)).max() <= 1e-12
+            assert np.array_equal(fast, canonicalize_degenerate(block, p))
 
     @settings(max_examples=30, deadline=None)
     @given(lap=symmetric_laplacians(), p=st.sampled_from([1, 2]))
@@ -240,23 +229,23 @@ class TestCanonicalizeFallback:
         calls = []
         reference = spectral._canonicalize_by_search
 
-        def spy(eigenspace, fixed, p):
+        def spy(eigenspace, p):
             calls.append(p)
-            return reference(eigenspace, fixed, p)
+            return reference(eigenspace, p)
 
         monkeypatch.setattr(spectral, "_canonicalize_by_search", spy)
         return calls
 
     def test_generic_multiplet_skips_search(self, search_calls):
         eigenspace = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        canonicalize_degenerate(eigenspace, [np.ones(3) / np.sqrt(3)], p=1)
+        canonicalize_degenerate(eigenspace, p=1)
         assert search_calls == []
 
     def test_vacuous_trailing_zero_uses_search(self, search_calls):
         # The last node is absent from the eigenspace, so its row of the
         # frame vanishes and the closed form does not apply.
         eigenspace = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
-        out = canonicalize_degenerate(eigenspace, [], p=2)
+        out = canonicalize_degenerate(eigenspace, p=2)
         assert search_calls == [2]
         expected = np.array([[1 / np.sqrt(2), 1 / np.sqrt(6)],
                              [-1 / np.sqrt(2), 1 / np.sqrt(6)],
@@ -265,13 +254,14 @@ class TestCanonicalizeFallback:
         assert np.abs(out - expected).max() < 1e-12
         assert out[2, 0] == 0.0 and np.all(out[3, :] == 0.0)
 
-    def test_fixed_vector_inside_subspace_uses_search(self, search_calls):
-        # No m orthogonal vectors of an m-dimensional subspace can all be
-        # orthogonal to a vector with a non-zero projection onto it.
-        eigenspace = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(ValueError, match="no canonical vector"):
-            canonicalize_degenerate(eigenspace, [np.array([1.0, 0.0, 0.0])], p=1)
-        assert search_calls == [1]
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 5)])
+    def test_more_columns_than_rows_is_rejected(self, search_calls, shape):
+        message = re.escape(f"eigenspace of shape {shape} has more columns than rows")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                canonicalize_degenerate(np.eye(*shape), p=1)
+        assert search_calls == []
 
 
 def _star(leaves: int, hub: int) -> np.ndarray:
@@ -365,16 +355,15 @@ class TestStackedAgainstOracle:
         w_ref, q_ref = oracle.laplacian_eigh(lap, p)
         assert np.array_equal(w, w_ref) and np.array_equal(q, q_ref)
         assert np.array_equal(dual_basis(q), oracle.dual_basis(q_ref))
-        for block, earlier in _multiplets(lap):
-            for fixed in (None, list(earlier.T)):
-                assert np.array_equal(canonicalize_degenerate(block, fixed, p),
-                                      oracle.canonicalize_degenerate(block, fixed, p))
+        for block in _multiplets(lap):
+            assert np.array_equal(canonicalize_degenerate(block, p),
+                                  oracle.canonicalize_degenerate(block, None, p))
 
     def test_generic_and_fallback_multiplets_in_one_stack(self, monkeypatch):
         searched = []
         reference = spectral._canonicalize_by_search
         monkeypatch.setattr(spectral, "_canonicalize_by_search",
-                            lambda e, fixed, p: searched.append(e.shape) or reference(e, fixed, p))
+                            lambda e, p: searched.append(e.shape) or reference(e, p))
         laps = [_star(6, 0), _star(6, 6), _star(6, 1)]
         for p in (1, 2):
             for lap, basis in zip(laps, _stack_bases(laps, p)):
@@ -442,6 +431,35 @@ def test_star_with_1000_leaves_has_no_cliff():
     assert np.abs(basis.analysis[:, 1:].sum(axis=0)).max() < 1e-10
     assert elapsed < 20.0 * reference, \
         f"1000-leaf star took {elapsed:.2f} s, eigh alone {reference:.2f} s"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("lap", [np.zeros((1, 1)), TRIANGLE, STAR], ids=["1", "3", "4"])
+    def test_laplacian_rejected(self, bad, lap, p):
+        lap = lap.copy()
+        lap[-1, -1] = bad
+        with pytest.raises(ValueError, match="Laplacian must be finite"):
+            local_eigenbasis(lap, p)
+        with pytest.raises(ValueError, match="Laplacian must be finite"):
+            laplacian_eigh(lap, p)
+        good = laplacian(grid_graph(1, len(lap)))
+        with pytest.raises(ValueError, match="Laplacian must be finite"):
+            spectral.eigenbasis_stack(np.stack([good, lap]), p)
+
+    def test_dual_basis_rejected(self, bad):
+        q = np.eye(3)
+        q[1, 2] = bad
+        for basis in (q, np.array([[bad]])):
+            with pytest.raises(ValueError, match="analysis basis must be finite"):
+                dual_basis(basis)
+
+    def test_eigenspace_rejected(self, bad):
+        eigenspace = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        eigenspace[0, 1] = bad
+        with pytest.raises(ValueError, match="eigenspace must be finite"):
+            canonicalize_degenerate(eigenspace, p=1)
 
 
 class TestDualBasis:
