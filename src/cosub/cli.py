@@ -10,7 +10,6 @@ import argparse
 import functools
 import math
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +57,6 @@ def _partition_config(args) -> PartitionConfig:
         raise CliError(str(exc)) from exc
 
 
-def _check_levels(args) -> None:
-    if args.levels < 1:
-        raise CliError("--levels must be at least 1")
-
-
-def _norm_exponent(name: str) -> int:
-    return 1 if name == "l1" else 2
-
-
 def _add_partition_flags(parser, require_method=True):
     parser.add_argument("--method", choices=("cosub", "edaw"),
                         default="cosub" if not require_method else None,
@@ -78,11 +68,15 @@ def _add_partition_flags(parser, require_method=True):
     parser.add_argument("--seed", type=int, default=0)
 
 
-def cmd_partition(args) -> int:
-    graph = _load_graph(args.graph)
+def _check_edaw_signal(args) -> None:
     if args.method == "edaw" and args.signal is None:
         raise CliError("--method edaw requires --signal")
+
+
+def cmd_partition(args) -> int:
+    _check_edaw_signal(args)
     config = _partition_config(args)
+    graph = _load_graph(args.graph)
     target = graph
     if args.method == "edaw":
         target = edge_aware_adjacency(graph, _load_signal(args.signal, graph.n))
@@ -97,8 +91,8 @@ class _FixedPartitions:
     """The fixed partition files as a cascade supply, one per level: all are
     read up front, and each one's label count is checked against the graph
     of the level that applies it.  Connectivity is left to `build_operators`,
-    which splits each level's graph once; `_named_failures` names the file
-    when that level fails."""
+    which splits each level's graph once; when that level fails,
+    `_run_cascade` names the file."""
 
     def __init__(self, args):
         self._fixed = iter([(path, _read("partition", fileio.read_partition, path,
@@ -114,24 +108,29 @@ class _FixedPartitions:
         return partition
 
 
-def _detect_partitions(args):
-    """The detection settings, or the supply of the fixed partition files."""
-    if not args.partition:
-        return _partition_config(args)
-    return _FixedPartitions(args)
-
-
-@contextmanager
-def _named_failures(partitions):
-    """Run a cascade; when it fails with a ValueError after a fixed partition
-    file was handed out, a file that does not fit its level's graph is named
-    (exit 2).  Any other ValueError propagates as it is."""
+def _run_cascade(args, cascade=analyze_cascade):
+    """The front end of the cascade commands: every argument is checked
+    before any file is read; then the graph, the signal (zeros for `atoms`
+    without one) and the fixed partition files are read, and
+    `cascade(graph, signal, partitions, p=, max_levels=)` runs.  Returns
+    the signal and the cascade's result.  When the cascade fails with a
+    ValueError after a fixed partition file was handed out, a file that does
+    not fit its level's graph is named (exit 2)."""
+    if args.levels < 1:
+        raise CliError("--levels must be at least 1")
+    _check_edaw_signal(args)
+    config = None if args.partition else _partition_config(args)
+    graph = _load_graph(args.graph)
+    signal = (np.zeros(graph.n) if args.signal is None
+              else _load_signal(args.signal, graph.n))
+    partitions = _FixedPartitions(args) if config is None else config
     try:
-        yield
+        return signal, cascade(graph, signal, partitions, p=1 if args.norm == "l1" else 2,
+                               max_levels=args.levels)
     except ValueError:
-        if isinstance(partitions, _FixedPartitions) and partitions.last is not None:
-            graph, partition, path = partitions.last
-            _check_partition(graph, partition, f"partition file {path}")
+        if config is None and partitions.last is not None:
+            level_graph, partition, path = partitions.last
+            _check_partition(level_graph, partition, f"partition file {path}")
         raise
 
 
@@ -173,13 +172,7 @@ def _analysis_artifacts(pyramid, outdir: Path, zero_based: bool):
 
 
 def cmd_analyze(args) -> int:
-    _check_levels(args)
-    graph = _load_graph(args.graph)
-    signal = _load_signal(args.signal, graph.n)
-    partitions = _detect_partitions(args)
-    p = _norm_exponent(args.norm)
-    with _named_failures(partitions):
-        pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
+    _, pyramid = _run_cascade(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     level_entries, final_name = _analysis_artifacts(pyramid, outdir, args.zero_based_labels)
@@ -190,8 +183,8 @@ def cmd_analyze(args) -> int:
             "graph": {"path": str(args.graph), "sha256": fileio.sha256_file(args.graph)},
             "signal": {"path": str(args.signal), "sha256": fileio.sha256_file(args.signal)},
         },
-        "n": graph.n,
-        "p": p,
+        "n": pyramid.n,
+        "p": pyramid.p,
         "partition_config": {
             "method": args.method, "impl": args.impl,
             "tau": args.tau, "seed": args.seed,
@@ -293,14 +286,8 @@ def _parse_keep_hp(text: str):
 
 
 def cmd_compress(args) -> int:
-    _check_levels(args)
-    graph = _load_graph(args.graph)
-    signal = _load_signal(args.signal, graph.n)
-    partitions = _detect_partitions(args)
-    p = _norm_exponent(args.norm)
     keep = _parse_keep_hp(args.keep_hp)
-    with _named_failures(partitions):
-        pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
+    signal, pyramid = _run_cascade(args)
     if pyramid.num_levels == 0:
         raise CliError("cascade produced no level (graph too small or no progress)")
     result, reconstruction = best_depth_nla(pyramid, signal, keep)
@@ -314,33 +301,17 @@ def cmd_compress(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    _check_levels(args)
     if not (math.isfinite(args.sigma) and args.sigma >= 0):
         raise CliError("--sigma must be finite and non-negative")
-    graph = _load_graph(args.graph)
-    noisy = _load_signal(args.signal, graph.n)
-    partitions = _detect_partitions(args)
-    p = _norm_exponent(args.norm)
-    with _named_failures(partitions):
-        cleaned = denoise(graph, noisy, args.sigma, args.levels, partitions, p=p)
+    _, cleaned = _run_cascade(args, lambda graph, noisy, partitions, p, max_levels:
+                              denoise(graph, noisy, args.sigma, max_levels, partitions, p=p))
     fileio.write_signal(cleaned, args.out)
     print(f"denoised {len(cleaned)} values -> {args.out}")
     return EXIT_OK
 
 
 def cmd_atoms(args) -> int:
-    _check_levels(args)
-    graph = _load_graph(args.graph)
-    if args.signal:
-        signal = _load_signal(args.signal, graph.n)
-    else:
-        if args.method == "edaw":
-            raise CliError("--method edaw requires --signal")
-        signal = np.zeros(graph.n)
-    partitions = _detect_partitions(args)
-    p = _norm_exponent(args.norm)
-    with _named_failures(partitions):
-        pyramid = analyze_cascade(graph, signal, partitions, p=p, max_levels=args.levels)
+    _, pyramid = _run_cascade(args)
     atoms = compute_atoms(pyramid)
     lines = ["level,channel,subgraph,node,value"]
     for j, level in enumerate(pyramid.levels, start=1):
@@ -394,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_partition_flags(p_part, require_method=True)
     p_part.set_defaults(func=cmd_partition)
 
-    def analysis_like(name, help_text, extra):
+    def analysis_like(name, help_text, func, signal_required=True, **defaults):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--graph", required=True)
         cmd.add_argument("--levels", type=int, required=True)
@@ -403,15 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fixed partition file, repeatable per level")
         cmd.add_argument("--zero-based-labels", action="store_true")
         _add_partition_flags(cmd, require_method=False)
-        extra(cmd)
+        cmd.add_argument("--signal", required=signal_required)
+        cmd.set_defaults(func=func, **defaults)
         return cmd
 
-    def analyze_extra(cmd):
-        cmd.add_argument("--signal", required=True)
-        cmd.add_argument("--outdir", required=True)
-
-    analysis_like("analyze", "run the analysis cascade", analyze_extra).set_defaults(
-        func=cmd_analyze)
+    analysis_like("analyze", "run the analysis cascade", cmd_analyze).add_argument(
+        "--outdir", required=True)
 
     p_syn = sub.add_parser("synthesize", help="reconstruct a signal from a manifest")
     p_syn.add_argument("--manifest", required=True)
@@ -419,29 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--reference")
     p_syn.set_defaults(func=cmd_synthesize)
 
-    def compress_extra(cmd):
-        cmd.add_argument("--signal", required=True)
-        cmd.add_argument("--keep-hp", required=True,
-                         help="detail coefficients to keep: count or percentage like '5%%'")
-        cmd.add_argument("--out", required=True)
+    comp = analysis_like("compress", "non-linear approximation compression", cmd_compress)
+    comp.add_argument("--keep-hp", required=True,
+                      help="detail coefficients to keep: count or percentage like '5%%'")
+    comp.add_argument("--out", required=True)
 
-    analysis_like("compress", "non-linear approximation compression",
-                  compress_extra).set_defaults(func=cmd_compress)
-
-    def denoise_extra(cmd):
-        cmd.add_argument("--signal", required=True)
-        cmd.add_argument("--sigma", type=float, required=True)
-        cmd.add_argument("--out", required=True)
-
-    den = analysis_like("denoise", "hard-threshold denoising", denoise_extra)
-    den.set_defaults(func=cmd_denoise, norm="l2")
-
-    def atoms_extra(cmd):
-        cmd.add_argument("--signal")
-        cmd.add_argument("--out", required=True)
+    den = analysis_like("denoise", "hard-threshold denoising", cmd_denoise, norm="l2")
+    den.add_argument("--sigma", type=float, required=True)
+    den.add_argument("--out", required=True)
 
     analysis_like("atoms", "export analysis atoms as CSV, one row per support entry",
-                  atoms_extra).set_defaults(func=cmd_atoms)
+                  cmd_atoms, signal_required=False).add_argument("--out", required=True)
 
     p_met = sub.add_parser("metrics", help="PSNR/SNR between two signal files")
     p_met.add_argument("--reference", required=True)

@@ -119,6 +119,8 @@ def _nodes_header(comment: str, header_n: int | None) -> int | None:
 
 def write_signal(values, path) -> None:
     x = np.asarray(values, dtype=np.float64)
+    if not x.size:
+        raise ValueError("cannot write an empty signal")
     Path(path).write_text("\n".join(map(FLOAT_FMT.__mod__, x.tolist())) + "\n")
 
 

@@ -86,9 +86,10 @@ def _canonical_columns(vecs: np.ndarray, p: int) -> np.ndarray:
 
 def _nullspace(m: np.ndarray, dim: int) -> tuple[int, np.ndarray | None]:
     """Nullspace dimension of an (r, dim) constraint matrix and a basis vector
-    when that dimension is exactly one."""
+    when that dimension is exactly one.  Every search has dim >= 2, so a
+    matrix without rows yields no vector."""
     if m.shape[0] == 0:
-        return dim, (np.ones(1) if dim == 1 else None)
+        return dim, None
     _, s, vt = np.linalg.svd(m, full_matrices=True)
     # Constraint rows have scale <= 1; the floor keeps noise-only rows rankless.
     tol = max(m.shape) * np.finfo(np.float64).eps * max(float(s[0]), 1.0)

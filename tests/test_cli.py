@@ -4,16 +4,21 @@ import hashlib
 import json
 import re
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import edge_tuples
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph, analyze_cascade,
                    best_level_nla, fileio, haar_partition, line_graph, nla_compress,
                    sbm_graph, synthesize_cascade)
 from cosub.cli import build_parser, main
+from test_filterbank import weighted_graphs
 
 
 @pytest.fixture
@@ -630,6 +635,66 @@ class TestArgumentsRejectedAtEntry:
         assert "--sigma" in capsys.readouterr().err
         assert not out.exists()
 
+    OUTPUTS = {"partition": ["--out", "p.txt"], "analyze": ["--outdir", "r"],
+               "compress": ["--keep-hp", "1", "--out", "c.csv"],
+               "denoise": ["--sigma", "0.1", "--out", "d.csv"], "atoms": ["--out", "a.csv"]}
+
+    @pytest.mark.parametrize("command, invalid, message", [
+        *[(c, ["--levels", "0"], "--levels must be at least 1")
+          for c in ("compress", "denoise", "atoms")],
+        ("compress", ["--keep-hp", "abc"], "invalid --keep-hp value 'abc'"),
+        ("denoise", ["--sigma", "nan"], "--sigma must be finite"),
+        *[(c, ["--seed", "-1"], "seed must be non-negative, got -1")
+          for c in ("partition", "analyze", "compress", "denoise", "atoms")],
+        *[(c, ["--impl", "lc", "--tau", "1"], "tau must be at least 2")
+          for c in ("partition", "analyze")],
+        *[(c, ["--method", "edaw"], "--method edaw requires --signal")
+          for c in ("atoms", "partition")],
+    ])
+    def test_reported_before_any_file_is_read(self, tmp_path, capsys, monkeypatch,
+                                              command, invalid, message):
+        """Neither the graph nor the signal exists: an invalid argument is
+        still what is reported, so it was checked before either was read."""
+        monkeypatch.chdir(tmp_path)
+        args = [command, "--graph", "missing.tsv", *self.OUTPUTS[command]]
+        args += (["--method", "cosub", "--impl", "sc"] if command == "partition"
+                 else ["--levels", "1"])
+        if "edaw" not in invalid:
+            args += ["--signal", "missing.csv"]
+        assert main([*args, *invalid]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "cannot read" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRoundTripProperty:
+    """`analyze` then `synthesize` through the files: `FLOAT_FMT` round-trips
+    every double, so the files hold the in-memory pyramid bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=weighted_graphs(), impl=st.sampled_from(["sc", "lc"]),
+           norm=st.sampled_from(["l1", "l2"]), seed=st.integers(0, 2**32 - 1))
+    def test_files_match_the_library(self, graph, impl, norm, seed):
+        x = np.random.default_rng(seed).normal(size=graph.n)
+        pyramid = analyze_cascade(graph, x, PartitionConfig(impl, tau=8, seed=3),
+                                  p=1 if norm == "l1" else 2, max_levels=3)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            fileio.write_edge_list(graph, tmp / "g.tsv")
+            fileio.write_signal(x, tmp / "x.csv")
+            assert main(["analyze", "--graph", str(tmp / "g.tsv"), "--signal", str(tmp / "x.csv"),
+                         "--impl", impl, "--tau", "8", "--seed", "3", "--levels", "3",
+                         "--norm", norm, "--outdir", str(tmp / "r")]) == 0
+            manifest = fileio.read_manifest(tmp / "r" / "manifest.json")
+            assert len(manifest["levels"]) == pyramid.num_levels
+            for entry, level in zip(manifest["levels"], pyramid.levels):
+                written = [fileio.read_signal(tmp / "r" / name) for name in entry["channels"]]
+                assert [c.tobytes() for c in written] == [c.tobytes() for c in level.channels]
+            assert main(["synthesize", "--manifest", str(tmp / "r" / "manifest.json"),
+                         "--out", str(tmp / "rec.csv")]) == 0
+            rec = fileio.read_signal(tmp / "rec.csv")
+        assert rec.tobytes() == synthesize_cascade(pyramid).tobytes()
+
 
 class TestOtherCommands:
     def test_atoms_contains_second_level_detail(self, toy_files, capsys):
@@ -922,3 +987,60 @@ def test_parser_is_built_once_and_keeps_no_state(toy_files, capsys):
     assert written[0] == written[1]
     fixed = json.loads(written[1])["partition_config"]["fixed_partitions"]
     assert fixed == [str(toy_files["p1"])]
+
+
+CASCADE_OPTIONS = {
+    "--graph": ("Store", True, None, None, None),
+    "--levels": ("Store", True, None, None, int),
+    "--norm": ("Store", False, "l1", ("l1", "l2"), None),
+    "--partition": ("Append", False, None, None, None),
+    "--zero-based-labels": ("StoreTrue", False, False, None, None),
+    "--method": ("Store", False, "cosub", ("cosub", "edaw"), None),
+    "--impl": ("Store", False, "sc", ("sc", "lc"), None),
+    "--tau": ("Store", False, 1000, None, int),
+    "--seed": ("Store", False, 0, None, int),
+    "--signal": ("Store", True, None, None, None),
+}
+OUT = {"--out": ("Store", True, None, None, None)}
+PARSER_INTERFACE = {
+    "partition": ("cmd_partition", {
+        "--graph": ("Store", True, None, None, None),
+        "--signal": ("Store", False, None, None, None),
+        **OUT,
+        "--zero-based-labels": ("StoreTrue", False, False, None, None),
+        "--method": ("Store", True, None, ("cosub", "edaw"), None),
+        "--impl": ("Store", True, None, ("sc", "lc"), None),
+        "--tau": ("Store", False, 1000, None, int),
+        "--seed": ("Store", False, 0, None, int)}),
+    "analyze": ("cmd_analyze", {**CASCADE_OPTIONS,
+                                "--outdir": ("Store", True, None, None, None)}),
+    "synthesize": ("cmd_synthesize", {
+        "--manifest": ("Store", True, None, None, None), **OUT,
+        "--reference": ("Store", False, None, None, None)}),
+    "compress": ("cmd_compress", {**CASCADE_OPTIONS, **OUT,
+                                  "--keep-hp": ("Store", True, None, None, None)}),
+    "denoise": ("cmd_denoise", {**CASCADE_OPTIONS, **OUT,
+                                "--norm": ("Store", False, "l2", ("l1", "l2"), None),
+                                "--sigma": ("Store", True, None, None, float)}),
+    "atoms": ("cmd_atoms", {**CASCADE_OPTIONS, **OUT,
+                            "--signal": ("Store", False, None, None, None)}),
+    "metrics": ("cmd_metrics", {
+        "--reference": ("Store", True, None, None, None),
+        "--estimate": ("Store", True, None, None, None),
+        "--kept-lp": ("Store", False, None, None, int),
+        "--kept-hp": ("Store", False, None, None, int)}),
+}
+
+
+def test_parser_interface_is_pinned():
+    """Every subcommand's options with their action, `required`, `default`,
+    `choices` and `type`, and the function each subcommand runs."""
+    subparsers = next(a for a in build_parser()._actions
+                      if a.choices and isinstance(a.choices, dict))
+    found = {}
+    for name, cmd in subparsers.choices.items():
+        options = {a.option_strings[-1]: (re.sub(r"^_|Action$", "", type(a).__name__),
+                                          a.required, a.default, a.choices, a.type)
+                   for a in cmd._actions if a.dest != "help"}
+        found[name] = (cmd.get_default("func").__name__, options)
+    assert found == PARSER_INTERFACE

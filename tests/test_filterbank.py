@@ -686,6 +686,11 @@ def weighted_graphs(draw):
     return WeightedGraph.from_edges(n, [(u, v, x) for (u, v), x in zip(sorted(edges), w)])
 
 
+def louvain_lc5(graph, signal):
+    """A callable partition source: LC detection of each level's graph."""
+    return louvain(graph, PartitionConfig("lc", tau=5, seed=7))
+
+
 class TestInvariantsOnWeightedGraphs:
     """The paper's invariants as properties of detected cascades on weighted
     graphs, rather than as equality with an oracle."""
@@ -694,7 +699,8 @@ class TestInvariantsOnWeightedGraphs:
     @given(graph=weighted_graphs(), p=st.sampled_from([1, 2]),
            config=st.sampled_from([PartitionConfig("sc", seed=3),
                                    PartitionConfig("lc", tau=8, seed=3),
-                                   PartitionConfig("sc", seed=3, edge_aware=True)]),
+                                   PartitionConfig("sc", seed=3, edge_aware=True),
+                                   louvain_lc5]),
            seed=st.integers(0, 2**32 - 1))
     def test_cascade_invariants(self, graph, p, config, seed):
         x = np.random.default_rng(seed).normal(size=graph.n)
@@ -706,7 +712,9 @@ class TestInvariantsOnWeightedGraphs:
             ops, part = level.operators, level.partition
             assert sum(len(c) for c in level.channels) == level.n
             assert partition_is_connected(level_graph, part)
-            if config.variant == "lc":
+            if config is louvain_lc5:
+                assert part.sizes.max() <= 5
+            elif config.variant == "lc":
                 assert part.sizes.max() <= config.tau
             gram = (ops._stacked("synthesis").T @ ops._stacked("analysis")).toarray()
             assert np.abs(gram - np.eye(level.n)).max() <= 1e-10
