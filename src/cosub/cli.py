@@ -261,10 +261,10 @@ def cmd_synthesize(args) -> int:
             x = synthesize_level([x] + details, operators)
         except ValueError as exc:  # channel count or length
             raise CliError(f"manifest level {j} is inconsistent: {exc}") from exc
+    ref = _load_signal(args.reference, len(x)) if args.reference else None
     fileio.write_signal(x, args.out)
     print(f"reconstructed {len(x)} values -> {args.out}")
-    if args.reference:
-        ref = _load_signal(args.reference, len(x))
+    if ref is not None:
         print(f"max abs deviation: {np.abs(x - ref).max():.3e}")
     return EXIT_OK
 
@@ -336,6 +336,8 @@ def cmd_atoms(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if min(args.kept_lp or 0, args.kept_hp or 0) < 0:
+        raise CliError("--kept-lp/--kept-hp: kept coefficient counts must be non-negative")
     ref = _load_signal(args.reference)
     est = _load_signal(args.estimate)
     if len(ref) != len(est):

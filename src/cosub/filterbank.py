@@ -407,6 +407,8 @@ def analyze_cascade(graph: WeightedGraph, signal, partitions, p: int = 1,
         part = detect(current, x)
         if part is None:
             break
+        if part.n != current.n:
+            raise ValueError("partition length does not match graph size")
         if part.n_subgraphs == current.n:
             break
         ops = build_operators(current, part, p)

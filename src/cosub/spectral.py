@@ -13,12 +13,10 @@ EIGENVALUE_GROUP_RTOL = 1e-8
 SIGN_EPS = 1e-12
 # Residual bound enforced on the synthesis/analysis pairing.
 DUAL_RESIDUAL_TOL = 1e-10
-# Constraint rows at or below this norm impose nothing on a multiplet.
-NEGLIGIBLE_ROW_NORM = 1e-12
-# Smallest |R_kk| of the trailing-row QR for which a multiplet counts as
-# generic.  It sits far above the reference search's SVD rank tolerance, so
-# the closed form only runs where that search would settle on the nominal
-# zero count at every step.
+# The only rank tolerance of the multiplet rule: a row of a multiplet's
+# orthonormal frame adds to the span of the rows after it when its part
+# orthogonal to them exceeds this.  A multiplet whose last m-1 rows all do
+# (every |R_kk| of their QR) is generic.
 GENERIC_RANK_TOL = 1e-8
 
 
@@ -57,14 +55,6 @@ def lp_normalize(v: np.ndarray, p: int) -> np.ndarray:
     return v / norm
 
 
-def _sign_canonicalize(v: np.ndarray) -> np.ndarray:
-    scale = np.linalg.norm(v)
-    nz = np.flatnonzero(np.abs(v) > SIGN_EPS * scale)
-    if len(nz) and v[nz[0]] < 0.0:
-        return -v
-    return v
-
-
 def _canonical_columns(vecs: np.ndarray, p: int) -> np.ndarray:
     """Column-wise `lp_normalize` followed by the sign rule, for one block or
     a stack of blocks (columns run along the second-to-last axis).
@@ -84,54 +74,6 @@ def _canonical_columns(vecs: np.ndarray, p: int) -> np.ndarray:
     return np.where(nz.any(axis=-2, keepdims=True) & (first < 0.0), -out, out)
 
 
-def _nullspace(m: np.ndarray, dim: int) -> tuple[int, np.ndarray | None]:
-    """Nullspace dimension of an (r, dim) constraint matrix and a basis vector
-    when that dimension is exactly one.  Every search has dim >= 2, so a
-    matrix without rows yields no vector."""
-    if m.shape[0] == 0:
-        return dim, None
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    # Constraint rows have scale <= 1; the floor keeps noise-only rows rankless.
-    tol = max(m.shape) * np.finfo(np.float64).eps * max(float(s[0]), 1.0)
-    null_dim = dim - int(np.sum(s > tol))
-    return null_dim, (vt[-1] if null_dim == 1 else None)
-
-
-def _canonicalize_by_search(eigenspace: np.ndarray, p: int) -> np.ndarray:
-    """Reference form of the multiplet rule: one SVD per output vector.
-
-    Each vector's constraint rows (vectors already produced, trailing
-    coordinates) are stacked and their one-dimensional null space is searched
-    for, adding trailing zeros until it exists or releasing the ones that
-    leave no solution.  This handles every zero pattern of an (n, m)
-    eigenspace with m <= n, including those the closed form refuses.
-    """
-    n, m = eigenspace.shape
-    # Work in an orthonormal coordinate frame of the subspace.
-    basis, _ = np.linalg.qr(eigenspace)
-    produced_rows: list[np.ndarray] = []
-    out = np.empty((n, m))
-    for i in range(1, m + 1):
-        zeros = m - i
-        # At no zeros the i-1 produced rows leave a null space, all n rows of
-        # the frame leave none, and one more row lowers its dimension by at
-        # most one: the search stops in between.
-        while True:
-            # Rows of coordinates absent from the subspace (negligible norm)
-            # impose no constraint.
-            rows = [r for r in produced_rows + list(basis[n - zeros:])
-                    if np.linalg.norm(r) > NEGLIGIBLE_ROW_NORM]
-            null_dim, coeffs = _nullspace(np.reshape(rows, (-1, m)), m)
-            if null_dim == 1:
-                break
-            zeros += 1 if null_dim > 1 else -1
-        v = basis @ coeffs
-        v[n - zeros:] = 0.0
-        produced_rows.append((v / np.linalg.norm(v)) @ basis)
-        out[:, i - 1] = _sign_canonicalize(lp_normalize(v, p))
-    return out
-
-
 def canonicalize_degenerate(eigenspace: np.ndarray, p: int) -> np.ndarray:
     """Deterministic basis of a degenerate eigenspace, given as n x m, m <= n.
 
@@ -143,13 +85,17 @@ def canonicalize_degenerate(eigenspace: np.ndarray, p: int) -> np.ndarray:
     time; when it leaves several, further trailing positions are zeroed until
     the direction is pinned down.
 
-    Generic case, in one factorization: let B be an orthonormal frame of the
-    subspace and U the complete QR factor of its last m-1 rows (last node
-    first, as columns).  U[:, :k] spans the last k rows, so U[:, m-i] is the
-    unit direction orthogonal to the last m-i rows and to U[:, m-i+1:], the
-    vectors produced before it, and vector i is B @ U[:, m-i].  Multiplets
-    whose trailing rows are (nearly) dependent go through
-    `_canonicalize_by_search`.
+    One factorization gives every vector.  Let B be an orthonormal frame of
+    the subspace, and scan its rows from the last node backwards, keeping each
+    row that adds to the span of the rows kept before it.  Let U be the
+    complete QR factor of the first m-1 kept rows, as columns.  U[:, :k] spans
+    the first k kept rows, and with them every trailing row up to the next
+    kept one, so U[:, m-i] is the unit direction orthogonal to those rows and
+    to U[:, m-i+1:], the vectors produced before it: vector i is
+    B @ U[:, m-i].  Its forced zeros are the nominal m-i, moved into the run
+    of trailing rows that its m-i kept rows span.  A multiplet is generic when
+    the kept rows are its last m-1 rows, and one QR serves a stack of those.
+    The result does not depend on the frame the eigenspace is given in.
     """
     e = np.asarray(eigenspace, dtype=np.float64)
     if e.ndim == 1:
@@ -162,10 +108,29 @@ def canonicalize_degenerate(eigenspace: np.ndarray, p: int) -> np.ndarray:
     return _canonicalize_multiplets(e[None], p)[0]
 
 
+def _independent_rows(basis: np.ndarray) -> np.ndarray:
+    """The rows of an orthonormal (n, m) frame, scanned from the last node
+    backwards, whose part orthogonal to the rows kept before them exceeds
+    GENERIC_RANK_TOL; the scan stops at m rows."""
+    n, m = basis.shape
+    span = np.empty((m, m))  # orthonormal rows spanning the kept ones
+    kept: list[int] = []
+    for row in range(n - 1, -1, -1):
+        done = span[:len(kept)]
+        part = basis[row] - (done @ basis[row]) @ done
+        norm = np.linalg.norm(part)
+        if norm > GENERIC_RANK_TOL:
+            span[len(kept)] = part / norm
+            kept.append(row)
+            if len(kept) == m:
+                break
+    return np.array(kept)
+
+
 def _canonicalize_multiplets(eigenspaces: np.ndarray, p: int) -> np.ndarray:
-    """`canonicalize_degenerate` for a (k, n, m) stack of eigenspaces, one
-    stacked QR pair for all of them; the non-generic ones go through
-    `_canonicalize_by_search` one at a time."""
+    """`canonicalize_degenerate` for a (k, n, m) stack of eigenspaces: one
+    stacked QR pair for the generic ones, and one QR of its independent
+    trailing rows for each other."""
     _, n, m = eigenspaces.shape
     basis, _ = np.linalg.qr(eigenspaces)
     u, r = np.linalg.qr(basis[:, :n - m:-1].transpose(0, 2, 1), mode="complete")
@@ -173,10 +138,17 @@ def _canonicalize_multiplets(eigenspaces: np.ndarray, p: int) -> np.ndarray:
     out = basis @ u[..., ::-1]
     # Column i-1 keeps its trailing m-i entries at exactly zero.
     out[:, n - m + 1:] = np.triu(out[:, n - m + 1:], 1)
-    out[generic] = _canonical_columns(out[generic], p)
     for i in np.flatnonzero(~generic):
-        out[i] = _canonicalize_by_search(eigenspaces[i], p)
-    return out
+        rows = _independent_rows(basis[i])
+        u_i, _ = np.linalg.qr(basis[i, rows[:-1]].T, mode="complete")
+        out[i] = basis[i] @ u_i[:, ::-1]
+        # Column m-1-t has t nominal zeros, moved into the run of trailing
+        # row counts that the first t kept rows span: from n - rows[t-1]
+        # (0 for t = 0) to n - 1 - rows[t].
+        bounds = np.concatenate(([n], rows))
+        zeros = np.clip(np.arange(m), n - bounds[:-1], n - 1 - bounds[1:])[::-1]
+        out[i][np.arange(n)[:, None] >= n - zeros] = 0.0
+    return _canonical_columns(out, p)
 
 
 def _eigh_stack(laps: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

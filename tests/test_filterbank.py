@@ -549,6 +549,14 @@ class TestCascade:
                                   [SubgraphPartition.from_labels([1, 2, 3, 4, 5])], p=1)
         assert pyramid.num_levels == 0
 
+    def test_partition_of_the_wrong_length_is_rejected(self):
+        # Five subgraphs over six labels: as many subgraphs as the 5-node
+        # level has nodes, which must not pass for a lack of progress.
+        part = SubgraphPartition.from_labels([1, 2, 3, 4, 5, 1])
+        for source in ([part], lambda graph, signal: part):
+            with pytest.raises(ValueError, match="partition length does not match graph size"):
+                analyze_cascade(line_graph(5), np.ones(5), source)
+
     def test_round_trip_multilevel_sbm(self):
         g = sbm_graph([30, 30, 30], 0.3, 0.02, 5)
         rng = np.random.default_rng(1)

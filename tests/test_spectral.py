@@ -168,6 +168,22 @@ def _bipartite_edges(a, b):
     return [(i, a + j) for i in range(a) for j in range(b)], a + b
 
 
+def _star(leaves: int, hub: int) -> np.ndarray:
+    """Unit star Laplacian with the hub at position `hub`."""
+    n = leaves + 1
+    adj = np.zeros((n, n))
+    adj[hub, :] = adj[:, hub] = 1.0
+    adj[hub, hub] = 0.0
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+def _bipartite(a: int, b: int) -> np.ndarray:
+    """Laplacian of K_{a,b}, side a numbered first."""
+    adj = np.zeros((a + b, a + b))
+    adj[:a, a:] = adj[a:, :a] = 1.0
+    return np.diag(adj.sum(axis=1)) - adj
+
+
 @st.composite
 def symmetric_laplacians(draw):
     """Dense Laplacians of highly symmetric graphs (many eigenvalue multiplets),
@@ -196,23 +212,73 @@ def _multiplets(lap):
     return [v[:, start:stop] for start, stop in oracle._group_eigenvalues(w) if stop - start > 1]
 
 
+def _rotation(m: int, seed: int = 0) -> np.ndarray:
+    """A random orthogonal m x m matrix."""
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
+
+
+def _assert_near_reference_search(fast, block, p):
+    """`fast`, the canonical basis of `block`, against the frozen reference
+    search wherever that search gives one basis for `block` in two frames:
+    within 1e-12, and column c has its last m-1-c entries forced to exactly
+    zero wherever the reference forces them too."""
+    ref = oracle.canonicalize_degenerate(block, None, p)
+    rotated = oracle.canonicalize_degenerate(block @ _rotation(block.shape[1]), None, p)
+    if np.abs(ref - rotated).max() > 1e-12:
+        return
+    assert np.abs(fast - ref).max() <= 1e-12
+    n, m = block.shape
+    for c in range(m):
+        forced = min(n - 1 - np.flatnonzero(ref[:, c])[-1], m - 1 - c)
+        assert np.all(fast[n - forced:, c] == 0.0)
+
+
+@st.composite
+def star_laplacians(draw):
+    """Unit stars with the hub at any position."""
+    leaves = draw(st.integers(2, 40))
+    return _star(leaves, draw(st.integers(0, leaves)))
+
+
 class TestCanonicalizeAgreement:
-    """The closed form against the per-vector search it replaces."""
+    """The multiplet rule against the per-vector search it replaces."""
 
     @settings(max_examples=60, deadline=None)
     @given(lap=symmetric_laplacians(), p=st.sampled_from([1, 2]))
     def test_matches_reference_search(self, lap, p):
         for block in _multiplets(lap):
             fast = canonicalize_degenerate(block, p)
-            ref = spectral._canonicalize_by_search(block, p)
-            assert np.abs(fast - ref).max() <= 1e-12
-            # Column c has its last m-1-c entries forced to exactly zero
-            # wherever the reference forces them too.
-            n, m = block.shape
-            for c in range(m):
-                forced = min(n - 1 - np.flatnonzero(ref[:, c])[-1], m - 1 - c)
-                assert np.all(fast[n - forced:, c] == 0.0)
+            _assert_near_reference_search(fast, block, p)
             assert np.array_equal(fast, canonicalize_degenerate(block, p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lap=st.one_of(symmetric_laplacians(), star_laplacians()),
+           p=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_frame_independent_and_orthogonal(self, lap, p, seed):
+        for block in _multiplets(lap):
+            fast = canonicalize_degenerate(block, p)
+            rotated = block @ _rotation(block.shape[1], seed)
+            assert np.abs(canonicalize_degenerate(rotated, p) - fast).max() <= 1e-12
+            # Orthogonal columns: under L1, Q.T Q is diagonal.
+            gram = fast.T @ fast
+            norms = np.sqrt(np.diag(gram))
+            assert np.abs(gram / np.outer(norms, norms) - np.eye(len(norms))).max() <= 1e-12
+
+    def test_permuted_grid_multiplet_independent_of_the_frame(self):
+        # A 6x6 grid, nodes permuted: the reference search kept a singular
+        # value of 1.2e-15 as rank in one frame of the 3-fold multiplet at
+        # eigenvalue 2, and the two frames gave bases 0.33 apart.
+        edges, n = _grid_edges(6, 6)
+        perm = np.random.default_rng(18).permutation(n)
+        adj = np.zeros((n, n))
+        for u, v in edges:
+            adj[perm[u], perm[v]] = adj[perm[v], perm[u]] = 1.0
+        w, v = np.linalg.eigh(np.diag(adj.sum(axis=1)) - adj)
+        block = v[:, np.abs(w - 2.0) < 1e-8]
+        assert block.shape == (36, 3)
+        rotation = np.linalg.qr(np.random.default_rng(99).standard_normal((3, 3)))[0]
+        assert np.abs(canonicalize_degenerate(block @ rotation, 2)
+                      - canonicalize_degenerate(block, 2)).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(lap=symmetric_laplacians(), p=st.sampled_from([1, 2]))
@@ -224,16 +290,19 @@ class TestCanonicalizeAgreement:
 
 
 class TestCanonicalizeFallback:
+    """Non-generic multiplets, and only they, scan their frame for
+    independent trailing rows."""
+
     @pytest.fixture
     def search_calls(self, monkeypatch):
         calls = []
-        reference = spectral._canonicalize_by_search
+        reference = spectral._independent_rows
 
-        def spy(eigenspace, p):
-            calls.append(p)
-            return reference(eigenspace, p)
+        def spy(basis):
+            calls.append(basis.shape)
+            return reference(basis)
 
-        monkeypatch.setattr(spectral, "_canonicalize_by_search", spy)
+        monkeypatch.setattr(spectral, "_independent_rows", spy)
         return calls
 
     def test_generic_multiplet_skips_search(self, search_calls):
@@ -243,10 +312,10 @@ class TestCanonicalizeFallback:
 
     def test_vacuous_trailing_zero_uses_search(self, search_calls):
         # The last node is absent from the eigenspace, so its row of the
-        # frame vanishes and the closed form does not apply.
+        # frame vanishes and the rows before it are scanned.
         eigenspace = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
         out = canonicalize_degenerate(eigenspace, p=2)
-        assert search_calls == [2]
+        assert search_calls == [(4, 2)]
         expected = np.array([[1 / np.sqrt(2), 1 / np.sqrt(6)],
                              [-1 / np.sqrt(2), 1 / np.sqrt(6)],
                              [0.0, -2 / np.sqrt(6)],
@@ -262,15 +331,6 @@ class TestCanonicalizeFallback:
             with pytest.raises(ValueError, match=message):
                 canonicalize_degenerate(np.eye(*shape), p=1)
         assert search_calls == []
-
-
-def _star(leaves: int, hub: int) -> np.ndarray:
-    """Unit star Laplacian with the hub at position `hub`."""
-    n = leaves + 1
-    adj = np.zeros((n, n))
-    adj[hub, :] = adj[:, hub] = 1.0
-    adj[hub, hub] = 0.0
-    return np.diag(adj.sum(axis=1)) - adj
 
 
 @st.composite
@@ -327,6 +387,30 @@ def _assert_same_basis(got, ref):
     assert np.array_equal(got.synthesis, ref.synthesis)
 
 
+def _scans_rows(function, *args):
+    """`function(*args)` and whether it scanned a frame for independent rows,
+    which only a non-generic multiplet does."""
+    with mock.patch.object(spectral, "_independent_rows",
+                           wraps=spectral._independent_rows) as scan:
+        result = function(*args)
+    return result, scan.call_count > 0
+
+
+def _assert_matches_oracle(basis, lap, p):
+    """`basis`, computed in any stack, against `lap` decomposed alone.  Where
+    every multiplet is generic the frozen oracle is reproduced bit for bit.
+    Elsewhere the single-block basis is, and each multiplet is held to the
+    oracle's reference search as in `_assert_near_reference_search`."""
+    alone, scanned = _scans_rows(local_eigenbasis, lap, p)
+    _assert_same_basis(basis, alone if scanned else oracle.local_eigenbasis(lap, p))
+    for block in _multiplets(lap):
+        fast, scanned = _scans_rows(canonicalize_degenerate, block, p)
+        if scanned:
+            _assert_near_reference_search(fast, block, p)
+        else:
+            assert np.array_equal(fast, oracle.canonicalize_degenerate(block, None, p))
+
+
 def _stack_bases(laps, p):
     """The bases of equal-size Laplacians, solved by one `eigenbasis_stack`."""
     w, q, synthesis = spectral.eigenbasis_stack(np.stack(laps), p)
@@ -335,7 +419,8 @@ def _stack_bases(laps, p):
 
 class TestStackedAgainstOracle:
     """The stacked spectral stage against the per-block functions it replaced,
-    kept verbatim in `spectral_oracle`: equal bits, not merely close values."""
+    kept verbatim in `spectral_oracle`: equal bits, not merely close values,
+    wherever every multiplet is generic (see `_assert_matches_oracle`)."""
 
     @settings(max_examples=60, deadline=None)
     @given(laps=mixed_levels(), p=st.sampled_from([1, 2]))
@@ -344,33 +429,33 @@ class TestStackedAgainstOracle:
         for size in {len(lap) for lap in laps}:
             group = [lap for lap in laps if len(lap) == size]
             for lap, basis in zip(group, _stack_bases(group, p)):
-                _assert_same_basis(basis, oracle.local_eigenbasis(lap, p))
+                _assert_matches_oracle(basis, lap, p)
 
     @settings(max_examples=30, deadline=None)
     @given(lap=st.one_of(symmetric_laplacians(), weighted_laplacians()),
            p=st.sampled_from([1, 2]))
     def test_single_block_functions_bit_identical(self, lap, p):
-        _assert_same_basis(local_eigenbasis(lap, p), oracle.local_eigenbasis(lap, p))
+        basis = local_eigenbasis(lap, p)
+        _assert_matches_oracle(basis, lap, p)
         w, q = laplacian_eigh(lap, p)
-        w_ref, q_ref = oracle.laplacian_eigh(lap, p)
-        assert np.array_equal(w, w_ref) and np.array_equal(q, q_ref)
-        assert np.array_equal(dual_basis(q), oracle.dual_basis(q_ref))
-        for block in _multiplets(lap):
-            assert np.array_equal(canonicalize_degenerate(block, p),
-                                  oracle.canonicalize_degenerate(block, None, p))
+        assert np.array_equal(w, basis.eigenvalues) and np.array_equal(q, basis.analysis)
+        assert np.array_equal(w, oracle.laplacian_eigh(lap, p)[0])
+        assert np.array_equal(dual_basis(q), oracle.dual_basis(q))
 
     def test_generic_and_fallback_multiplets_in_one_stack(self, monkeypatch):
         searched = []
-        reference = spectral._canonicalize_by_search
-        monkeypatch.setattr(spectral, "_canonicalize_by_search",
-                            lambda e, p: searched.append(e.shape) or reference(e, p))
+        reference = spectral._independent_rows
+        monkeypatch.setattr(spectral, "_independent_rows",
+                            lambda b: searched.append(b.shape) or reference(b))
         laps = [_star(6, 0), _star(6, 6), _star(6, 1)]
-        for p in (1, 2):
-            for lap, basis in zip(laps, _stack_bases(laps, p)):
-                _assert_same_basis(basis, oracle.local_eigenbasis(lap, p))
+        stacks = {p: _stack_bases(laps, p) for p in (1, 2)}
         # The eigenvalue-1 multiplet has m=5; only the hub-last star has its
         # hub, a zero row of the frame, among the trailing m-1 rows.
         assert searched == [(7, 5), (7, 5)]
+        monkeypatch.undo()
+        for p, bases in stacks.items():
+            for lap, basis in zip(laps, bases):
+                _assert_matches_oracle(basis, lap, p)
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("bad", [
@@ -409,10 +494,10 @@ class TestSharedBases:
 
 
 def test_star_with_1000_leaves_has_no_cliff():
-    # The 999-fold leaf multiplet must take the closed-form QR, never the
-    # per-vector search.  Time is bounded relative to a plain `eigh` of the
-    # same Laplacian, timed just before, so a busy host slows both sides:
-    # an idle 2-core host measured a ratio of about 4.
+    # The 999-fold leaf multiplet is generic: the stacked QR, no row scan.
+    # Time is bounded relative to a plain `eigh` of the same Laplacian,
+    # timed just before, so a busy host slows both sides: an idle 2-core
+    # host measured a ratio of about 4.
     leaves = 1000
     lap = np.eye(leaves + 1)
     lap[0, 0] = leaves
@@ -420,8 +505,8 @@ def test_star_with_1000_leaves_has_no_cliff():
     start = time.perf_counter()
     np.linalg.eigh(lap)
     reference = time.perf_counter() - start
-    with mock.patch.object(spectral, "_canonicalize_by_search",
-                           wraps=spectral._canonicalize_by_search) as search:
+    with mock.patch.object(spectral, "_independent_rows",
+                           wraps=spectral._independent_rows) as search:
         start = time.perf_counter()
         basis = local_eigenbasis(lap, p=1)
         elapsed = time.perf_counter() - start
@@ -431,6 +516,28 @@ def test_star_with_1000_leaves_has_no_cliff():
     assert np.abs(basis.analysis[:, 1:].sum(axis=0)).max() < 1e-10
     assert elapsed < 20.0 * reference, \
         f"1000-leaf star took {elapsed:.2f} s, eigh alone {reference:.2f} s"
+
+
+@pytest.mark.parametrize("lap", [_bipartite(80, 80), _bipartite(5, 120), _star(240, 240)],
+                         ids=["K80,80", "K5,120", "star-241-hub-last"])
+def test_non_generic_multiplets_have_no_cliff(lap):
+    # Each has a multiplet whose trailing rows are dependent, so its frame
+    # is scanned for independent rows.  The median of 3 is bounded relative
+    # to a plain `eigh` of the same Laplacian, timed alongside.
+    times, references = [], []
+    for _ in range(3):
+        start = time.perf_counter()
+        np.linalg.eigh(lap)
+        middle = time.perf_counter()
+        basis, scanned = _scans_rows(local_eigenbasis, lap, 1)
+        references.append(middle - start)
+        times.append(time.perf_counter() - middle)
+    assert scanned
+    n = len(lap)
+    assert np.abs(basis.synthesis.T @ basis.analysis - np.eye(n)).max() <= 1e-10
+    elapsed, reference = np.median(times), np.median(references)
+    assert elapsed < 20.0 * reference, \
+        f"{n}-node block took {elapsed:.3f} s, eigh alone {reference:.3f} s"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
