@@ -38,6 +38,15 @@ def _read(what: str, read, path, **kwargs):
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _write(what: str, path, write, *args, **kwargs):
+    """Run `write(*args, **kwargs)`, which writes `path`; an output that
+    cannot be written is a usage error."""
+    try:
+        return write(*args, **kwargs)
+    except OSError as exc:
+        raise CliError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _load_graph(path) -> WeightedGraph:
     return _read("graph", fileio.read_edge_list, path)
 
@@ -81,7 +90,8 @@ def cmd_partition(args) -> int:
     if args.method == "edaw":
         target = edge_aware_adjacency(graph, _load_signal(args.signal, graph.n))
     part = louvain(target, config)
-    fileio.write_partition(part, args.out, zero_based=args.zero_based_labels)
+    _write("partition", args.out, fileio.write_partition, part, args.out,
+           zero_based=args.zero_based_labels)
     print(f"subgraphs: {part.n_subgraphs}")
     print(f"modularity: {modularity(graph, part):.6f}")
     return EXIT_OK
@@ -146,36 +156,36 @@ def _check_partition(graph, partition, what: str) -> None:
 
 
 def _analysis_artifacts(pyramid, outdir: Path, zero_based: bool):
-    level_entries = []
-    for j, level in enumerate(pyramid.levels, start=1):
-        part_path = outdir / f"level{j}_partition.txt"
-        a_int_path = outdir / f"level{j}_a_int.tsv"
-        a_ext_path = outdir / f"level{j}_a_ext.tsv"
-        fileio.write_partition(level.partition, part_path, zero_based=zero_based)
-        fileio.write_edge_list(level.a_int, a_int_path)
-        fileio.write_edge_list(level.a_ext, a_ext_path)
-        channel_paths = []
-        for l, chan in enumerate(level.channels, start=1):
-            chan_path = outdir / f"level{j}_channel_{l:02d}.csv"
-            fileio.write_signal(chan, chan_path)
-            channel_paths.append(chan_path.name)
-        level_entries.append({
-            "n": level.n,
-            "partition": part_path.name,
-            "a_int": a_int_path.name,
-            "a_ext": a_ext_path.name,
-            "channels": channel_paths,
-        })
-    final_path = outdir / "final_approximation.csv"
-    fileio.write_signal(pyramid.final_approximation, final_path)
-    return level_entries, final_path.name
+    """Write every level's artifacts and the final approximation into
+    `outdir`.  Returns the manifest's level entries, the final
+    approximation's name and the sha256 of every artifact by name."""
+    sha256 = {}
+
+    def artifact(name: str, write, value, **kwargs) -> str:
+        path = outdir / name
+        sha256[name] = _write("analysis artifact", path, write, value, path, **kwargs)
+        return name
+
+    level_entries = [{
+        "n": level.n,
+        "partition": artifact(f"level{j}_partition.txt", fileio.write_partition,
+                              level.partition, zero_based=zero_based),
+        "a_int": artifact(f"level{j}_a_int.tsv", fileio.write_edge_list, level.a_int),
+        "a_ext": artifact(f"level{j}_a_ext.tsv", fileio.write_edge_list, level.a_ext),
+        "channels": [artifact(f"level{j}_channel_{l:02d}.csv", fileio.write_signal, chan)
+                     for l, chan in enumerate(level.channels, start=1)],
+    } for j, level in enumerate(pyramid.levels, start=1)]
+    final_name = artifact("final_approximation.csv", fileio.write_signal,
+                          pyramid.final_approximation)
+    return level_entries, final_name, sha256
 
 
 def cmd_analyze(args) -> int:
     _, pyramid = _run_cascade(args)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    level_entries, final_name = _analysis_artifacts(pyramid, outdir, args.zero_based_labels)
+    _write("output directory", outdir, outdir.mkdir, parents=True, exist_ok=True)
+    level_entries, final_name, sha256 = _analysis_artifacts(pyramid, outdir,
+                                                            args.zero_based_labels)
     manifest = {
         "format_version": MANIFEST_VERSION,
         "command": args.argv,
@@ -193,8 +203,10 @@ def cmd_analyze(args) -> int:
         "zero_based_labels": args.zero_based_labels,
         "levels": level_entries,
         "final_approximation": final_name,
+        "sha256": sha256,
     }
-    fileio.write_manifest(manifest, outdir / "manifest.json")
+    manifest_path = outdir / "manifest.json"
+    _write("manifest", manifest_path, fileio.write_manifest, manifest, manifest_path)
     for j, level in enumerate(pyramid.levels, start=1):
         sizes = [len(c) for c in level.channels]
         if sum(sizes) != level.n:
@@ -214,10 +226,13 @@ def _artifact(base: Path, name) -> Path:
 
 
 def _rebuild_from_manifest(manifest: dict, base: Path):
-    """Per-level operators and detail channels, and the final approximation."""
+    """Per-level operators and detail channels, and the final approximation.
+    Every artifact the manifest's "sha256" map names is checked against it as
+    it is read; a manifest without the map is read unchecked."""
     try:
         p = manifest["p"]
         zero_based = manifest.get("zero_based_labels", False)
+        sha256 = manifest.get("sha256", {})
         entries = [(entry["n"], _artifact(base, entry["partition"]),
                     _artifact(base, entry["a_int"]), _artifact(base, entry["a_ext"]),
                     [_artifact(base, name) for name in entry["channels"]])
@@ -230,6 +245,12 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
     if type(zero_based) is not bool:
         raise CliError(f"malformed manifest: zero_based_labels must be true or false, "
                        f"got {zero_based!r}")
+    if not (isinstance(sha256, dict) and all(isinstance(v, str) for v in sha256.values())):
+        raise CliError("malformed manifest: sha256 must map artifact names to hex digests")
+
+    def read(reader, path, **kwargs):
+        return _read("manifest artifact", reader, path, sha256=sha256.get(path.name), **kwargs)
+
     levels = []
     for n, part_path, a_int_path, a_ext_path, chan_paths in entries:
         if type(n) is not int or n < 1:
@@ -237,20 +258,18 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
         for path in [part_path, a_int_path, a_ext_path, *chan_paths]:
             if not path.exists():
                 raise CliError(f"manifest artifact missing: {path}")
-        partition = _read("manifest artifact", fileio.read_partition, part_path,
-                          zero_based=zero_based)
-        a_int = _read("manifest artifact", fileio.read_edge_list, a_int_path, n=n)
+        partition = read(fileio.read_partition, part_path, zero_based=zero_based)
+        a_int = read(fileio.read_edge_list, a_int_path, n=n)
         try:
             operators = build_operators(a_int, partition, p)
         except ValueError:  # a partition that does not fit its graph is named (exit 2)
             _check_partition(a_int, partition, f"manifest artifact {part_path}")
             raise
-        details = [_read("manifest artifact", fileio.read_signal, path)
-                   for path in chan_paths[1:]]
+        details = [read(fileio.read_signal, path) for path in chan_paths[1:]]
         levels.append((operators, details))
     if not final_path.exists():
         raise CliError(f"manifest artifact missing: {final_path}")
-    return levels, _read("manifest artifact", fileio.read_signal, final_path)
+    return levels, read(fileio.read_signal, final_path)
 
 
 def cmd_synthesize(args) -> int:
@@ -262,7 +281,7 @@ def cmd_synthesize(args) -> int:
         except ValueError as exc:  # channel count or length
             raise CliError(f"manifest level {j} is inconsistent: {exc}") from exc
     ref = _load_signal(args.reference, len(x)) if args.reference else None
-    fileio.write_signal(x, args.out)
+    _write("signal", args.out, fileio.write_signal, x, args.out)
     print(f"reconstructed {len(x)} values -> {args.out}")
     if ref is not None:
         print(f"max abs deviation: {np.abs(x - ref).max():.3e}")
@@ -291,7 +310,7 @@ def cmd_compress(args) -> int:
     if pyramid.num_levels == 0:
         raise CliError("cascade produced no level (graph too small or no progress)")
     result, reconstruction = best_depth_nla(pyramid, signal, keep)
-    fileio.write_signal(reconstruction, args.out)
+    _write("signal", args.out, fileio.write_signal, reconstruction, args.out)
     print(f"level: {result.level}")
     print(f"kept_lp: {result.kept_lp}")
     print(f"kept_hp: {result.kept_hp}")
@@ -305,7 +324,7 @@ def cmd_denoise(args) -> int:
         raise CliError("--sigma must be finite and non-negative")
     _, cleaned = _run_cascade(args, lambda graph, noisy, partitions, p, max_levels:
                               denoise(graph, noisy, args.sigma, max_levels, partitions, p=p))
-    fileio.write_signal(cleaned, args.out)
+    _write("signal", args.out, fileio.write_signal, cleaned, args.out)
     print(f"denoised {len(cleaned)} values -> {args.out}")
     return EXIT_OK
 
@@ -327,7 +346,7 @@ def cmd_atoms(args) -> int:
                 span = slice(mat.indptr[col], mat.indptr[col + 1])
                 for node, value in zip(mat.indices[span], mat.data[span] + 0.0):
                     lines.append(f"{j},{l},{label},{node},{fileio.FLOAT_FMT % value}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write("atoms", args.out, fileio._write_text, args.out, "\n".join(lines) + "\n")
     total = atoms.total_detail_atoms
     if atoms.approximation:
         total += atoms.approximation[-1].shape[1]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +27,50 @@ _BULK_LINES = 2048
 _SEPARATORS = str.maketrans("", "", "".join(c for c in map(chr, range(128)) if c not in "\t\n"))
 
 
-def write_edge_list(graph: WeightedGraph, path) -> None:
+def _write_text(path, text: str) -> str:
+    """Write `text` over `path` in place and return the sha256 of its bytes.
+
+    The file is opened without O_TRUNC, written from the start and then cut
+    to the new length: truncating a non-empty file on open cost several times
+    more than writing it.  A symlink is written through, and a file that is
+    not regular (a device such as /dev/null, a pipe) is written and not cut.
+    When a write fails, a regular file is cut to 0 bytes before the error
+    propagates, so that no mix of old and new bytes is left."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if regular:
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _read_text(path, sha256: str | None = None) -> str:
+    """The text of `path`.  With `sha256`, the bytes read must hash to it;
+    they are read once, so the text returned is the text checked, and they
+    are decoded as the UTF-8 that `_write_text` wrote."""
+    if sha256 is None:
+        return Path(path).read_text()
+    data = Path(path).read_bytes()
+    if hashlib.sha256(data).hexdigest() != sha256:
+        raise ValueError(f"{path}: sha256 does not match the manifest")
+    return data.decode()
+
+
+def write_edge_list(graph: WeightedGraph, path) -> str:
     """TSV lines "u<TAB>v<TAB>w" with a leading "# nodes:" header so that
-    trailing isolated nodes survive the round trip."""
+    trailing isolated nodes survive the round trip.  Returns the sha256 of
+    the bytes written, as every writer here does."""
     u, v, w = graph.edge_arrays()
     # Each distinct weight is formatted once.  Distinct bit patterns, not
     # values, so that -0.0 and 0.0 keep their own text.
@@ -36,13 +79,15 @@ def write_edge_list(graph: WeightedGraph, path) -> None:
     lines = [f"# nodes: {graph.n}"]
     lines += [f"{a}\t{b}\t{c}" for a, b, c in
               zip(u.tolist(), v.tolist(), map(texts.__getitem__, which.tolist()))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
-def read_edge_list(path, n: int | None = None) -> WeightedGraph:
+def read_edge_list(path, n: int | None = None, sha256: str | None = None) -> WeightedGraph:
     """Parse an edge-list TSV: 0-based indices, optional weight (default 1),
-    '#' comment lines.  Duplicate unordered pairs are rejected."""
-    lines = Path(path).read_text().splitlines()
+    '#' comment lines.  Duplicate unordered pairs are rejected.  With
+    `sha256`, the file's bytes must hash to it (so too in `read_signal` and
+    `read_partition`)."""
+    lines = _read_text(path, sha256).splitlines()
     # Line by line only when the file is not well formed: that parser reads
     # every accepted format and names the first bad line.
     header_n, us, vs, ws = _bulk_edge_columns(lines) or _edge_columns_by_line(path, lines)
@@ -117,15 +162,15 @@ def _nodes_header(comment: str, header_n: int | None) -> int | None:
     return header_n
 
 
-def write_signal(values, path) -> None:
+def write_signal(values, path) -> str:
     x = np.asarray(values, dtype=np.float64)
     if not x.size:
         raise ValueError("cannot write an empty signal")
-    Path(path).write_text("\n".join(map(FLOAT_FMT.__mod__, x.tolist())) + "\n")
+    return _write_text(path, "\n".join(map(FLOAT_FMT.__mod__, x.tolist())) + "\n")
 
 
-def read_signal(path) -> np.ndarray:
-    x = np.asarray(_values(float, Path(path).read_text().splitlines()), dtype=np.float64)
+def read_signal(path, sha256: str | None = None) -> np.ndarray:
+    x = np.asarray(_values(float, _read_text(path, sha256).splitlines()), dtype=np.float64)
     if not x.size:
         raise ValueError(f"{path}: no signal values")
     if not np.all(np.isfinite(x)):
@@ -133,13 +178,14 @@ def read_signal(path) -> np.ndarray:
     return x
 
 
-def write_partition(partition: SubgraphPartition, path, zero_based: bool = False) -> None:
+def write_partition(partition: SubgraphPartition, path, zero_based: bool = False) -> str:
     shift = -1 if zero_based else 0
-    Path(path).write_text("\n".join(map(str, (partition.labels + shift).tolist())) + "\n")
+    return _write_text(path, "\n".join(map(str, (partition.labels + shift).tolist())) + "\n")
 
 
-def read_partition(path, zero_based: bool = False) -> SubgraphPartition:
-    labels = _values(int, Path(path).read_text().splitlines())
+def read_partition(path, zero_based: bool = False,
+                   sha256: str | None = None) -> SubgraphPartition:
+    labels = _values(int, _read_text(path, sha256).splitlines())
     top = 2**63 - zero_based  # a zero-based label must survive the shift to one-based
     try:
         arr = np.asarray(labels, dtype=np.int64)
@@ -169,8 +215,8 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(data: dict, path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def write_manifest(data: dict, path) -> str:
+    return _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(path) -> dict:

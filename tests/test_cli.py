@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import sys
 import tempfile
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import edge_tuples
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph, analyze_cascade,
-                   best_level_nla, fileio, haar_partition, line_graph, nla_compress,
-                   sbm_graph, synthesize_cascade)
+                   best_level_nla, fileio, grid_graph, haar_partition, line_graph,
+                   nla_compress, sbm_graph, synthesize_cascade)
 from cosub.cli import build_parser, main
 from test_filterbank import weighted_graphs
 
@@ -117,7 +118,9 @@ class TestFileFormats:
 
     def test_writers_match_the_per_scalar_writers(self, tmp_path):
         """Formatting from `tolist()` writes the bytes the writers wrote when
-        they formatted numpy scalars one by one."""
+        they formatted numpy scalars one by one: into a new file, over a
+        longer one, through a symlink to a longer one, and to os.devnull.
+        Each writer returns the sha256 of those bytes."""
         tiny = 5e-324
         weights = [tiny, 2.5e-310, 1e300, 1 / 3, 0.1, 1.0, 7.0, 2.0 ** 53 + 2]
         n = 1_000_003
@@ -134,9 +137,18 @@ class TestFileFormats:
                  (fileio.write_partition, old_write_partition, (partition,)),
                  (fileio.write_partition, old_write_partition, (partition, True))]
         for k, (new, old, args) in enumerate(cases):
-            new(*args[:1], tmp_path / f"new{k}", *args[1:])
             old(*args[:1], tmp_path / f"old{k}", *args[1:])
-            assert (tmp_path / f"new{k}").read_bytes() == (tmp_path / f"old{k}").read_bytes()
+            expected = (tmp_path / f"old{k}").read_bytes()
+            longer = expected + b"0.123456789\n" * 3
+            over, target, link = (tmp_path / f"{name}{k}" for name in ("over", "target", "link"))
+            over.write_bytes(longer)
+            target.write_bytes(longer)
+            link.symlink_to(target)
+            for path in (tmp_path / f"new{k}", over, link, os.devnull):
+                assert new(*args[:1], path, *args[1:]) == hashlib.sha256(expected).hexdigest()
+            for path in (tmp_path / f"new{k}", over, target):
+                assert path.read_bytes() == expected
+            assert link.is_symlink() and link.resolve() == target.resolve()
         assert "-0\n" in (tmp_path / "new1").read_text()
 
 
@@ -158,6 +170,26 @@ def old_write_signal(values, path):
 def old_write_partition(partition, path, zero_based=False):
     shift = -1 if zero_based else 0
     path.write_text("\n".join(str(int(c) + shift) for c in partition.labels) + "\n")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _listed_artifacts(manifest) -> list:
+    """Every artifact name a manifest lists."""
+    names = [manifest["final_approximation"]]
+    for entry in manifest["levels"]:
+        names += [entry["partition"], entry["a_int"], entry["a_ext"], *entry["channels"]]
+    return names
+
+
+def _record_sha256(outdir, name):
+    """Record the sha256 of the hand-edited artifact `name` in the manifest,
+    so that synthesize reaches the check the edit is meant to trip."""
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    manifest["sha256"][name] = _sha256(outdir / name)
+    (outdir / "manifest.json").write_text(json.dumps(manifest))
 
 
 class TestPartitionCommand:
@@ -336,9 +368,12 @@ class TestAnalyzeSynthesize:
                      "--partition", str(toy_files["p1"]),
                      "--levels", "1", "--norm", "l1",
                      "--outdir", str(outdir)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
         for name in ("level1_channel_02.csv", "level1_channel_03.csv"):
             values = fileio.read_signal(outdir / name)
-            fileio.write_signal(np.zeros_like(values), outdir / name)
+            # An edited artifact is read only under its new sha256.
+            manifest["sha256"][name] = fileio.write_signal(np.zeros_like(values), outdir / name)
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
         rec = tmp_path / "rec.csv"
         assert main(["synthesize", "--manifest", str(outdir / "manifest.json"),
                      "--out", str(rec)]) == 0
@@ -440,6 +475,7 @@ class TestAnalyzeSynthesize:
         outdir = toy_files["dir"] / "run"
         assert self.run_analyze(toy_files, outdir) == 0
         (outdir / "final_approximation.csv").write_text("nan\n")
+        _record_sha256(outdir, "final_approximation.csv")
         code = main(["synthesize", "--manifest", str(outdir / "manifest.json"),
                      "--out", str(toy_files["dir"] / "rec.csv")])
         assert code == 2
@@ -449,10 +485,13 @@ class TestAnalyzeSynthesize:
         outdir = toy_files["dir"] / "run"
         assert self.run_analyze(toy_files, outdir) == 0
         (outdir / "level1_partition.txt").write_text("1\n1\nx\n2\n2\n")
+        _record_sha256(outdir, "level1_partition.txt")
         code = main(["synthesize", "--manifest", str(outdir / "manifest.json"),
                      "--out", str(toy_files["dir"] / "rec.csv")])
         assert code == 2
-        assert "level1_partition.txt" in capsys.readouterr().err
+        # The full message: the temporary directory's name holds the test's.
+        assert (f"cannot read manifest artifact {outdir / 'level1_partition.txt'}: invalid"
+                in capsys.readouterr().err)
 
     def test_manifest_without_levels_is_usage_error(self, toy_files, capsys):
         outdir = toy_files["dir"] / "run"
@@ -470,6 +509,9 @@ class TestAnalyzeSynthesize:
         assert self.run_analyze(toy_files, outdir) == 0
         manifest = json.loads((outdir / "manifest.json").read_text())
         tamper(outdir, manifest)
+        # Edited artifacts keep a matching sha256, so that synthesize reaches
+        # the check each edit is meant to trip.
+        manifest["sha256"] = {name: _sha256(outdir / name) for name in manifest["sha256"]}
         (outdir / "manifest.json").write_text(json.dumps(manifest))
         return main(["synthesize", "--manifest", str(outdir / "manifest.json"),
                      "--out", str(toy_files["dir"] / "rec.csv")])
@@ -485,7 +527,7 @@ class TestAnalyzeSynthesize:
             # Class 2 = {1, 3, 4}: node 1 has no intra-subgraph edge to 3 or 4.
             (outdir / "level1_partition.txt").write_text("1\n2\n1\n2\n2\n")
         assert self._tamper_and_synthesize(toy_files, tamper) == 2
-        assert "disconnected" in capsys.readouterr().err
+        assert "level1_partition.txt has a disconnected subgraph" in capsys.readouterr().err
 
     def test_wrong_channel_count_is_usage_error(self, toy_files, capsys):
         def tamper(outdir, manifest):
@@ -587,6 +629,103 @@ class TestAnalyzeSynthesize:
             if name == "manifest.json":
                 continue  # manifest echoes --outdir, everything else matches
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_manifest_records_the_sha256_of_every_artifact(self, toy_files):
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        manifest = fileio.read_manifest(outdir / "manifest.json")
+        names = set(_listed_artifacts(manifest))
+        assert names == {f.name for f in outdir.iterdir()} - {"manifest.json"}
+        assert manifest["sha256"] == {name: _sha256(outdir / name) for name in names}
+
+    @pytest.mark.parametrize("name, edit", [
+        ("level1_channel_02.csv", lambda data: data[:1] + bytes([data[1] ^ 1]) + data[2:]),
+        ("level1_channel_02.csv", lambda data: data + b"5\n"),
+        ("level1_partition.txt", lambda data: data + b"2\n"),
+    ], ids=["flipped-byte", "stale-channel-tail", "stale-partition-tail"])
+    def test_artifact_that_does_not_match_its_sha256_is_usage_error(
+            self, toy_files, capsys, name, edit):
+        # A flipped byte still parses, and reconstructs a wrong signal; a
+        # stale tail is what a write killed before its cut leaves behind.
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        path = outdir / name
+        path.write_bytes(edit(path.read_bytes()))
+        rec = toy_files["dir"] / "rec.csv"
+        code = main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(rec)])
+        assert code == 2
+        assert f"{path}: sha256 does not match the manifest" in capsys.readouterr().err
+        assert not rec.exists()
+
+    def test_manifest_without_sha256_synthesizes_unchecked(self, toy_files):
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        del manifest["sha256"]
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        (outdir / "level1_channel_02.csv").write_text("0\n0\n")
+        assert main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(toy_files["dir"] / "rec.csv")]) == 0
+
+    @pytest.mark.parametrize("value", [["x"], {"level1_partition.txt": 1}, "abc"],
+                             ids=["list", "int-digest", "str"])
+    def test_malformed_sha256_map_is_usage_error(self, toy_files, capsys, value):
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        manifest["sha256"] = value
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(toy_files["dir"] / "rec.csv")]) == 2
+        assert ("malformed manifest: sha256 must map artifact names to hex digests"
+                in capsys.readouterr().err)
+
+    def test_rerun_over_a_longer_deeper_run_matches_a_fresh_outdir(self, tmp_path):
+        """Artifacts rewritten in place over a 3-level run of another signal
+        are the bytes a fresh output directory receives."""
+        graph = tmp_path / "grid.tsv"
+        fileio.write_edge_list(grid_graph(8, 8), graph)
+        earlier, signal = tmp_path / "earlier.csv", tmp_path / "x.csv"
+        fileio.write_signal(np.random.default_rng(0).normal(size=64) * 1e6, earlier)
+        fileio.write_signal(np.arange(64.0) % 5, signal)
+        run, fresh = tmp_path / "run", tmp_path / "fresh"
+
+        def analyze(x, levels, outdir):
+            assert main(["analyze", "--graph", str(graph), "--signal", str(x),
+                         "--levels", str(levels), "--outdir", str(outdir)]) == 0
+        analyze(earlier, 3, run)
+        old_sizes = {f.name: f.stat().st_size for f in run.iterdir()}
+        analyze(signal, 2, run)
+        analyze(signal, 2, fresh)
+        manifest = fileio.read_manifest(run / "manifest.json")
+        names = _listed_artifacts(manifest)
+        assert len(manifest["levels"]) == 2 and "level3_partition.txt" in old_sizes
+        assert any(old_sizes[name] > (run / name).stat().st_size for name in names)
+        for name in names:
+            assert (run / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert manifest["sha256"] == fileio.read_manifest(fresh / "manifest.json")["sha256"]
+        assert main(["synthesize", "--manifest", str(run / "manifest.json"),
+                     "--out", str(tmp_path / "rec.csv")]) == 0
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is a usage error (exit 2) that names
+    the path."""
+
+    @pytest.mark.parametrize("command, extra, what", [
+        ("analyze", ["--outdir", "{file}"], "output directory {file}"),
+        ("compress", ["--keep-hp", "1", "--out", "{missing}/c.csv"], "signal {missing}/c.csv"),
+        ("denoise", ["--sigma", "0.1", "--out", "{dir}"], "signal {dir}"),
+    ], ids=["outdir-is-a-file", "out-in-a-missing-directory", "out-is-a-directory"])
+    def test_exits_2_and_names_the_path(self, toy_files, capsys, command, extra, what):
+        names = {"file": str(toy_files["p1"]), "dir": str(toy_files["dir"]),
+                 "missing": str(toy_files["dir"] / "missing")}
+        code = main([command, "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]), "--partition", str(toy_files["p1"]),
+                     "--levels", "1", *[a.format(**names) for a in extra]])
+        assert code == 2
+        assert f"error: cannot write {what.format(**names)}: [Errno" in capsys.readouterr().err
 
 
 class TestArgumentsRejectedAtEntry:

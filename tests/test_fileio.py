@@ -1,6 +1,8 @@
 """The text readers against their line-by-line oracle, and write/read round
 trips."""
 
+import errno
+import os
 import tracemalloc
 
 import numpy as np
@@ -235,3 +237,36 @@ class TestRoundTrips:
         back = fileio.read_partition(scratch, zero_based=zero_based)
         assert back.labels.dtype == partition.labels.dtype
         assert back.labels.tobytes() == partition.labels.tobytes()
+
+
+class TestWriteInPlace:
+    """`_write_text` writes over an existing file without O_TRUNC and cuts
+    it to length: short writes are resumed, and a failed write leaves an
+    empty file."""
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        path.write_text("9\n" * 1000)
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+        fileio.write_signal(np.arange(100.0), path)
+        monkeypatch.undo()
+        assert path.read_text() == "".join(f"{k}\n" for k in range(100))
+
+    def test_failed_write_leaves_an_empty_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        path.write_text("9\n" * 1000)
+        real_write, calls = os.write, []
+
+        def full_after_the_first_chunk(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[:len(data) // 2])
+        monkeypatch.setattr(os, "write", full_after_the_first_chunk)
+        with pytest.raises(OSError) as info:
+            fileio.write_signal(np.arange(100.0), path)
+        monkeypatch.undo()
+        assert info.value.errno == errno.ENOSPC
+        assert len(calls) == 2
+        assert path.read_bytes() == b""
