@@ -7,8 +7,10 @@ Exit codes: 0 success, 2 invalid usage or inputs, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -118,10 +120,30 @@ class _FixedPartitions:
         return partition
 
 
+def _check_output(args) -> None:
+    """Refuse, before any input is read, an output that `_write` would refuse
+    after the cascade, with its message: an --outdir that exists and is not a
+    directory, an --out that is a directory or whose directory cannot be
+    reached."""
+    if args.command == "analyze":
+        what, path = "output directory", Path(args.outdir)
+        code = errno.EEXIST if path.exists() and not path.is_dir() else 0
+    else:
+        what, path = ("atoms" if args.command == "atoms" else "signal"), args.out
+        try:  # reaching the directory fails as opening a file in it would
+            os.stat(os.path.dirname(path) or ".")
+            code = errno.EISDIR if os.path.isdir(path) else 0
+        except OSError as exc:
+            code = exc.errno
+    if code:
+        exc = OSError(code, os.strerror(code), str(path))
+        raise CliError(f"cannot write {what} {path}: {exc}")
+
+
 def _run_cascade(args, cascade=analyze_cascade):
-    """The front end of the cascade commands: every argument is checked
-    before any file is read; then the graph, the signal (zeros for `atoms`
-    without one) and the fixed partition files are read, and
+    """The front end of the cascade commands: every argument and the output
+    are checked before any file is read; then the graph, the signal (zeros
+    for `atoms` without one) and the fixed partition files are read, and
     `cascade(graph, signal, partitions, p=, max_levels=)` runs.  Returns
     the signal and the cascade's result.  When the cascade fails with a
     ValueError after a fixed partition file was handed out, a file that does
@@ -130,6 +152,7 @@ def _run_cascade(args, cascade=analyze_cascade):
         raise CliError("--levels must be at least 1")
     _check_edaw_signal(args)
     config = None if args.partition else _partition_config(args)
+    _check_output(args)
     graph = _load_graph(args.graph)
     signal = (np.zeros(graph.n) if args.signal is None
               else _load_signal(args.signal, graph.n))
@@ -183,6 +206,8 @@ def _analysis_artifacts(pyramid, outdir: Path, zero_based: bool):
 def cmd_analyze(args) -> int:
     _, pyramid = _run_cascade(args)
     outdir = Path(args.outdir)
+    manifest_path = outdir / "manifest.json"
+    earlier = _earlier_artifacts(manifest_path)
     _write("output directory", outdir, outdir.mkdir, parents=True, exist_ok=True)
     level_entries, final_name, sha256 = _analysis_artifacts(pyramid, outdir,
                                                             args.zero_based_labels)
@@ -205,8 +230,15 @@ def cmd_analyze(args) -> int:
         "final_approximation": final_name,
         "sha256": sha256,
     }
-    manifest_path = outdir / "manifest.json"
     _write("manifest", manifest_path, fileio.write_manifest, manifest, manifest_path)
+    # Files of an earlier run that this one did not rewrite, such as those of
+    # deeper levels, would be taken for this run's.
+    for name in sorted(earlier - sha256.keys() - {manifest_path.name}):
+        stale = outdir / name
+        try:
+            stale.unlink(missing_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot remove stale artifact {stale}: {exc}") from exc
     for j, level in enumerate(pyramid.levels, start=1):
         sizes = [len(c) for c in level.channels]
         if sum(sizes) != level.n:
@@ -225,6 +257,29 @@ def _artifact(base: Path, name) -> Path:
     return base / name
 
 
+def _artifact_paths(manifest: dict, base: Path):
+    """The levels' (n, partition, a_int, a_ext, channels), artifacts as paths
+    in `base`, and the final approximation's path.  KeyError or TypeError
+    for a missing or invalid field."""
+    entries = [(entry["n"], _artifact(base, entry["partition"]),
+                _artifact(base, entry["a_int"]), _artifact(base, entry["a_ext"]),
+                [_artifact(base, name) for name in entry["channels"]])
+               for entry in manifest["levels"]]
+    return entries, _artifact(base, manifest["final_approximation"])
+
+
+def _earlier_artifacts(manifest_path: Path) -> set:
+    """The artifact names of the manifest an earlier run left; none when it
+    cannot be read or names anything but bare file names."""
+    try:
+        entries, final_path = _artifact_paths(fileio.read_manifest(manifest_path),
+                                              manifest_path.parent)
+    except (OSError, ValueError, KeyError, TypeError, CliError):
+        return set()
+    return {final_path.name} | {path.name for _, *paths, channels in entries
+                                for path in [*paths, *channels]}
+
+
 def _rebuild_from_manifest(manifest: dict, base: Path):
     """Per-level operators and detail channels, and the final approximation.
     Every artifact the manifest's "sha256" map names is checked against it as
@@ -233,11 +288,7 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
         p = manifest["p"]
         zero_based = manifest.get("zero_based_labels", False)
         sha256 = manifest.get("sha256", {})
-        entries = [(entry["n"], _artifact(base, entry["partition"]),
-                    _artifact(base, entry["a_int"]), _artifact(base, entry["a_ext"]),
-                    [_artifact(base, name) for name in entry["channels"]])
-                   for entry in manifest["levels"]]
-        final_path = _artifact(base, manifest["final_approximation"])
+        entries, final_path = _artifact_paths(manifest, base)
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed manifest: missing or invalid field {exc}") from exc
     if type(p) is not int or p not in (1, 2):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import stat
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +19,6 @@ MANIFEST_VERSION = 1
 # node-indexed arrays before any edge is looked at, so a header or an index
 # naming node 10**12 is rejected here rather than failing on allocation.
 MAX_NODES = 10_000_000
-# Data lines joined, split and converted per bulk step: bounds the tokens held
-# at once (a whole-file token list doubled the parse's memory peak).
-_BULK_LINES = 2048
-# Deletes every ASCII character except tab and newline, so that what remains
-# of "\n"-joined lines are their separators (non-ASCII text is kept, and so
-# never passes for well formed).
-_SEPARATORS = str.maketrans("", "", "".join(c for c in map(chr, range(128)) if c not in "\t\n"))
 
 
 def _write_text(path, text: str) -> str:
@@ -87,13 +81,14 @@ def read_edge_list(path, n: int | None = None, sha256: str | None = None) -> Wei
     '#' comment lines.  Duplicate unordered pairs are rejected.  With
     `sha256`, the file's bytes must hash to it (so too in `read_signal` and
     `read_partition`)."""
-    lines = _read_text(path, sha256).splitlines()
-    # Line by line only when the file is not well formed: that parser reads
-    # every accepted format and names the first bad line.
-    header_n, us, vs, ws = _bulk_edge_columns(lines) or _edge_columns_by_line(path, lines)
-    del lines  # freed before the graph is built
+    text = _read_text(path, sha256)
+    lines = text.splitlines()
+    # Line by line only when the C reader refuses the file: that parser
+    # reads every accepted format and names the first bad line.
+    file_n, us, vs, ws = _loaded_edge_columns(text, lines) or _edge_columns_by_line(path, lines)
+    del text, lines  # freed before the graph is built
     if n is None:
-        n = header_n
+        n = file_n
     if n is None:
         if not us:
             raise ValueError(f"{path}: empty edge list with unknown node count")
@@ -103,32 +98,34 @@ def read_edge_list(path, n: int | None = None, sha256: str | None = None) -> Wei
     return WeightedGraph._checked(n, us, vs, ws)
 
 
-def _bulk_edge_columns(lines: list[str]):
-    """The columns of a well-formed edge list: '#' lines, then only lines of
-    exactly three tab-separated fields that `int`, `int` and `float` accept.
-    The line-by-line parser reads the same three fields, up to whitespace at
-    the ends of the line, which `int` and `float` ignore.  None for any other
-    file."""
+def _loaded_edge_columns(text: str, lines: list[str]):
+    """The node count (the header's, else the largest index plus one) and
+    the columns of an edge list in the writers' layout, read by numpy's C
+    text reader.  It reads the values `int` and `float` read and skips blank
+    lines, except beyond ASCII (it misreads other digits) and on "\x1f"
+    (whitespace to it).  None for a file with those, one it rejects or warns
+    on, or one without data lines."""
+    if not text.isascii() or "\x1f" in text:
+        return None
     head = 0
     while head < len(lines) and lines[head][:1] == "#":
         head += 1
+    if head == len(lines):
+        return None
     header_n = None
-    us, vs, ws = [], [], []
     try:
         for comment in lines[:head]:
             header_n = _nodes_header(comment, header_n)
-        for start in range(head, len(lines), _BULK_LINES):
-            block = lines[start:start + _BULK_LINES]
-            text = "\n".join(block)
-            if text.translate(_SEPARATORS) != "\t\t\n" * (len(block) - 1) + "\t\t":
-                return None
-            tokens = text.replace("\n", "\t").split("\t")
-            us += map(int, tokens[0::3])
-            vs += map(int, tokens[1::3])
-            ws += map(float, tokens[2::3])
-    except ValueError:  # a header or token that int or float rejects
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = np.loadtxt(lines[head:], dtype=[("u", "<i8"), ("v", "<i8"), ("w", "<f8")],
+                               delimiter="\t", comments=None, quotechar=None, ndmin=1)
+    except (ValueError, Warning):
         return None
-    return header_n, us, vs, ws
+    us, vs = edges["u"], edges["v"]
+    if header_n is None:
+        header_n = int(max(us.max(), vs.max())) + 1
+    return header_n, us, vs, edges["w"]
 
 
 def _edge_columns_by_line(path, lines: list[str]):

@@ -705,8 +705,30 @@ class TestAnalyzeSynthesize:
         for name in names:
             assert (run / name).read_bytes() == (fresh / name).read_bytes(), name
         assert manifest["sha256"] == fileio.read_manifest(fresh / "manifest.json")["sha256"]
+        assert {f.name for f in run.iterdir()} == {f.name for f in fresh.iterdir()}
         assert main(["synthesize", "--manifest", str(run / "manifest.json"),
                      "--out", str(tmp_path / "rec.csv")]) == 0
+
+    @pytest.mark.parametrize("earlier", [
+        "not json",
+        json.dumps({"format_version": 1, "levels": [], "final_approximation": "../x.csv"}),
+        json.dumps({"format_version": 1, "levels": [], "final_approximation": "manifest.json"}),
+    ], ids=["unreadable", "not-a-bare-name", "names-the-manifest"])
+    def test_rerun_removes_only_what_a_readable_earlier_manifest_lists(self, toy_files,
+                                                                       earlier):
+        """Neither an earlier manifest that cannot be read nor one that names
+        a file outside the output directory removes a file; the new
+        manifest is kept."""
+        outdir = toy_files["dir"] / "run"
+        outdir.mkdir()
+        (outdir / "manifest.json").write_text(earlier)
+        (outdir / "keep.txt").write_text("kept")
+        assert main(["analyze", "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]), "--partition", str(toy_files["p1"]),
+                     "--levels", "1", "--outdir", str(outdir)]) == 0
+        assert (outdir / "keep.txt").read_text() == "kept"
+        assert toy_files["signal"].exists()
+        assert fileio.read_manifest(outdir / "manifest.json")["levels"]
 
 
 class TestUnwritableOutput:
@@ -726,6 +748,28 @@ class TestUnwritableOutput:
                      "--levels", "1", *[a.format(**names) for a in extra]])
         assert code == 2
         assert f"error: cannot write {what.format(**names)}: [Errno" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra, what, error", [
+        ("analyze", ["--outdir", "{file}"], "output directory {file}", "[Errno 17] File exists"),
+        ("compress", ["--keep-hp", "1", "--out", "{missing}/c.csv"], "signal {missing}/c.csv",
+         "[Errno 2] No such file or directory"),
+        ("denoise", ["--sigma", "0.1", "--out", "{dir}"], "signal {dir}",
+         "[Errno 21] Is a directory"),
+        ("atoms", ["--out", "{dir}"], "atoms {dir}", "[Errno 21] Is a directory"),
+    ], ids=["outdir-is-a-file", "out-in-a-missing-directory", "out-is-a-directory",
+            "atoms-out-is-a-directory"])
+    def test_is_found_before_any_input_is_read(self, toy_files, capsys, command, extra, what,
+                                               error):
+        """The graph named does not exist: the error is the output's."""
+        names = {"file": str(toy_files["p1"]), "dir": str(toy_files["dir"]),
+                 "missing": str(toy_files["dir"] / "missing")}
+        target = what.format(**names).split(" ")[-1]
+        code = main([command, "--graph", str(toy_files["dir"] / "absent.tsv"),
+                     "--signal", str(toy_files["signal"]), "--partition", str(toy_files["p1"]),
+                     "--levels", "1", *[a.format(**names) for a in extra]])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot write {what.format(**names)}: {error}: {target!r}\n"
 
 
 class TestArgumentsRejectedAtEntry:

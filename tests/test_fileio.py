@@ -4,6 +4,7 @@ trips."""
 import errno
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,10 +42,17 @@ def outcome(read, *args):
 
 # -- edge lists ---------------------------------------------------------------
 
+# Tokens that `int` or `float` and numpy's C reader could read differently:
+# the reader must refuse them, or the file must not reach it ("\x1f", which
+# the reader skips as whitespace, and digits beyond ASCII such as "२", which
+# it reads as garbage).
+ODD_TOKENS = ["1.0", "1e3", str(2**63), "0x10", "1d5", "Infinity", "+inf", "-nan", '"3"',
+              "3 # x", " 3", "٣", "२", "\x1f3", "3\x1f"]
 NODE = st.integers(0, 6).map(str) | st.sampled_from(
-    ["-1", "7", "+2", " 3", "4 ", "1_0", "1.5", "x", "", str(MAX_NODES), str(10**12)])
-WEIGHT = st.sampled_from(["1", "0.5", "2.5", "1e-320", "1e300", "1_0", " 3", "0", "-1", "nan",
-                          "inf", "-inf", "x", ""]) | st.floats(1e-300, 1e300).map(FLOAT_FMT.__mod__)
+    ["-1", "7", "+2", "4 ", "1_0", "1.5", "x", "", str(MAX_NODES), str(10**12), *ODD_TOKENS])
+WEIGHT = st.sampled_from(["1", "0.5", "2.5", "1e-320", "1e300", "1_0", "0", "-1", "nan",
+                          "inf", "-inf", "x", "", *ODD_TOKENS]) | \
+    st.floats(1e-300, 1e300).map(FLOAT_FMT.__mod__)
 HEADER = st.sampled_from(["0", "2", "5", "9", " 7 ", str(MAX_NODES + 1), "x"]).map(
     lambda k: f"# nodes: {k}")
 COMMENT = HEADER | st.sampled_from(["# a comment", "#nodes:4", "  # nodes: 3", "\t# x", "##"])
@@ -145,34 +153,89 @@ class TestReadersMatchTheLineByLineOracle:
 
 
 class TestBulkRoute:
-    def test_written_edge_list_is_read_in_bulk(self, tmp_path, monkeypatch):
-        path = tmp_path / "g.tsv"
-        fileio.write_edge_list(sbm_graph([20] * 150, 0.5, 0.01, 2), path)
-        expected = outcome(oracle.read_edge_list, path)
+    """Files in the writers' layout are read by numpy's C reader; every other
+    file goes line by line, with the oracle's outcome either way."""
 
+    @staticmethod
+    def _refuse_line_by_line(monkeypatch):
         def refuse(path, lines):
             raise AssertionError("a well-formed edge list went line by line")
         monkeypatch.setattr(fileio, "_edge_columns_by_line", refuse)
-        assert outcome(fileio.read_edge_list, path) == expected
 
-    @pytest.mark.parametrize("text", ["# nodes: 4\n0\t1\t1\n# late\n2\t3\t1\n",
-                                      "0\t1\t1\n\n2\t3\t1\n", "0\t1\n2\t3\t1\n"],
-                             ids=["late-comment", "blank", "two-fields"])
-    def test_other_edge_lists_go_line_by_line(self, tmp_path, monkeypatch, text):
-        path = tmp_path / "g.tsv"
-        path.write_text(text)
+    @staticmethod
+    def _count_line_by_line(monkeypatch):
         calls = []
 
         def counted(path, lines, _by_line=fileio._edge_columns_by_line):
             calls.append(path)
             return _by_line(path, lines)
         monkeypatch.setattr(fileio, "_edge_columns_by_line", counted)
-        assert outcome(fileio.read_edge_list, path) == outcome(oracle.read_edge_list, path)
+        return calls
+
+    def test_written_edge_list_is_read_in_bulk(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.tsv"
+        fileio.write_edge_list(sbm_graph([20] * 150, 0.5, 0.01, 2), path)
+        expected = outcome(oracle.read_edge_list, path)
+        self._refuse_line_by_line(monkeypatch)
+        assert outcome(fileio.read_edge_list, path) == expected
+
+    @pytest.mark.parametrize("text", ["0\t1\t1\n\n2\t3\t1\n", "# nodes: 5\n\n\n0\t1\t1\n\n"],
+                             ids=["blank", "after-the-header-and-at-the-end"])
+    def test_blank_lines_are_read_in_bulk(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "g.tsv"
+        path.write_text(text)
+        expected = outcome(oracle.read_edge_list, path)
+        self._refuse_line_by_line(monkeypatch)
+        assert outcome(fileio.read_edge_list, path) == expected
+
+    @pytest.mark.parametrize("text", ["# nodes: 4\n0\t1\t1\n# late\n2\t3\t1\n",
+                                      "0\t1\n2\t3\t1\n", "0\t1\t1\n२\t3\t1\n",
+                                      "0\t1\t1\n2\t3\x1f\t1\n", "# nodes: 4\n", "# nodes: 4\n\n"],
+                             ids=["late-comment", "two-fields", "non-ascii-digit",
+                                  "unit-separator", "header-only", "no-data-line"])
+    def test_other_edge_lists_go_line_by_line(self, tmp_path, monkeypatch, text):
+        """With no warning: `loadtxt`, which warns on a file without data
+        lines, is not called on a header-only file, and its warnings are
+        caught."""
+        path = tmp_path / "g.tsv"
+        path.write_text(text)
+        calls = self._count_line_by_line(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(fileio.read_edge_list, path)
+        assert got == outcome(oracle.read_edge_list, path)
+        assert calls == [path]
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_odd_token_in_a_well_formed_file_reads_as_the_oracle_does(self, tmp_path, column):
+        path = tmp_path / "g.tsv"
+        for token in ODD_TOKENS:
+            rows = [["0", "1", "1"], ["2", "3", "2.5"]]
+            rows[1][column] = token
+            for header in [[], ["# nodes: 4"]]:
+                path.write_text("\n".join(header + ["\t".join(row) for row in rows]) + "\n")
+                assert outcome(fileio.read_edge_list, path) == \
+                    outcome(oracle.read_edge_list, path), (token, header)
+
+    def test_loadtxt_warning_falls_back_to_line_by_line(self, tmp_path, monkeypatch):
+        """A warning, such as older numpy's DeprecationWarning for an integer
+        read through a float, sends the file line by line."""
+        path = tmp_path / "g.tsv"
+        path.write_text("# nodes: 4\n0\t1\t1\n2\t3\t1.0\n")
+        expected = outcome(oracle.read_edge_list, path)
+        loadtxt = np.loadtxt
+
+        def warns(*args, **kwargs):
+            warnings.warn("integer parsed via a float", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+        monkeypatch.setattr(fileio.np, "loadtxt", warns)
+        calls = self._count_line_by_line(monkeypatch)
+        assert outcome(fileio.read_edge_list, path) == expected
         assert calls == [path]
 
     def test_edge_list_memory_peak(self, tmp_path):
-        """Bulk steps of a bounded number of lines keep the parse's peak near
-        the line-by-line parser's (a whole-file token list doubled it)."""
+        """The C reader keeps the parse's peak near the line-by-line
+        parser's (a whole-file token list once doubled it)."""
         path = tmp_path / "g.tsv"
         fileio.write_edge_list(sbm_graph([20] * 100, 0.7, 0.003, 1), path)
         peaks = []
