@@ -122,37 +122,41 @@ class _FixedPartitions:
 
 def _check_output(args) -> None:
     """Refuse, before any input is read, an output that `_write` would refuse
-    after the cascade, with its message: an --outdir that exists and is not a
-    directory, an --out that is a directory or whose directory cannot be
-    reached."""
-    if args.command == "analyze":
-        what, path = "output directory", Path(args.outdir)
-        code = errno.EEXIST if path.exists() and not path.is_dir() else 0
-    else:
-        what, path = ("atoms" if args.command == "atoms" else "signal"), args.out
-        try:  # reaching the directory fails as opening a file in it would
-            os.stat(os.path.dirname(path) or ".")
-            code = errno.EISDIR if os.path.isdir(path) else 0
-        except OSError as exc:
-            code = exc.errno
+    after the work, with its message: an --outdir that exists and is not a
+    directory, an --out that is a directory, and either one whose directory
+    cannot be reached or lies below a file."""
+    if args.command == "metrics":
+        return
+    analyze = args.command == "analyze"
+    path = args.outdir if analyze else args.out
+    try:  # with a trailing separator, a path resolves only to a directory
+        os.stat(os.path.join(path if analyze else os.path.dirname(path) or ".", ""))
+        code = errno.EISDIR if not analyze and os.path.isdir(path) else 0
+    except OSError as exc:
+        code = exc.errno
+    if analyze and code == errno.ENOENT:  # `mkdir` makes it and its missing parents
+        code = 0
+    elif analyze and code and os.path.exists(path):  # not a directory: `mkdir` refuses it
+        code = errno.EEXIST
     if code:
+        what = ("output directory" if analyze
+                else args.command if args.command in ("partition", "atoms") else "signal")
         exc = OSError(code, os.strerror(code), str(path))
         raise CliError(f"cannot write {what} {path}: {exc}")
 
 
 def _run_cascade(args, cascade=analyze_cascade):
-    """The front end of the cascade commands: every argument and the output
-    are checked before any file is read; then the graph, the signal (zeros
-    for `atoms` without one) and the fixed partition files are read, and
-    `cascade(graph, signal, partitions, p=, max_levels=)` runs.  Returns
-    the signal and the cascade's result.  When the cascade fails with a
-    ValueError after a fixed partition file was handed out, a file that does
-    not fit its level's graph is named (exit 2)."""
+    """The front end of the cascade commands: every argument is checked
+    before any file is read (`main` has checked the output); then the graph,
+    the signal (zeros for `atoms` without one) and the fixed partition files
+    are read, and `cascade(graph, signal, partitions, p=, max_levels=)` runs.
+    Returns the signal and the cascade's result.  When the cascade fails
+    with a ValueError after a fixed partition file was handed out, a file
+    that does not fit its level's graph is named (exit 2)."""
     if args.levels < 1:
         raise CliError("--levels must be at least 1")
     _check_edaw_signal(args)
     config = None if args.partition else _partition_config(args)
-    _check_output(args)
     graph = _load_graph(args.graph)
     signal = (np.zeros(graph.n) if args.signal is None
               else _load_signal(args.signal, graph.n))
@@ -303,23 +307,19 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
         return _read("manifest artifact", reader, path, sha256=sha256.get(path.name), **kwargs)
 
     levels = []
-    for n, part_path, a_int_path, a_ext_path, chan_paths in entries:
+    for n, part_path, a_int_path, _, chan_paths in entries:
         if type(n) is not int or n < 1:
             raise CliError(f"malformed manifest: level n must be a positive integer, got {n!r}")
-        for path in [part_path, a_int_path, a_ext_path, *chan_paths]:
-            if not path.exists():
-                raise CliError(f"manifest artifact missing: {path}")
+        # Every file of the level is read before its eigensolve.
         partition = read(fileio.read_partition, part_path, zero_based=zero_based)
         a_int = read(fileio.read_edge_list, a_int_path, n=n)
+        details = [read(fileio.read_signal, path) for path in chan_paths[1:]]
         try:
             operators = build_operators(a_int, partition, p)
         except ValueError:  # a partition that does not fit its graph is named (exit 2)
             _check_partition(a_int, partition, f"manifest artifact {part_path}")
             raise
-        details = [read(fileio.read_signal, path) for path in chan_paths[1:]]
         levels.append((operators, details))
-    if not final_path.exists():
-        raise CliError(f"manifest artifact missing: {final_path}")
     return levels, read(fileio.read_signal, final_path)
 
 
@@ -486,6 +486,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = argv  # what `analyze` records as the manifest's "command"
     try:
+        _check_output(args)
         return args.func(args)
     except (CliError, filterbank.BlockSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -151,10 +151,22 @@ def _canonicalize_multiplets(eigenspaces: np.ndarray, p: int) -> np.ndarray:
     return _canonical_columns(out, p)
 
 
-def _eigh_stack(laps: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """`laplacian_eigh` for a (k, n, n) stack of Laplacians: one eigensolve,
-    vectorized multiplet grouping, and one `_canonicalize_multiplets` call per
-    multiplet size."""
+def laplacian_eigh(lap: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical eigendecomposition of a symmetric Laplacian matrix, or of a
+    (k, n, n) stack of them, each block bit-identical to decomposing it alone.
+
+    Returns ascending eigenvalues (zero group clamped to exactly 0) and the
+    Lp-normalized, sign-canonical eigenvector matrix, stacked like the input.
+    Requires the zero eigenvalue to be simple, i.e. the underlying graph must
+    be connected.  A stack takes one eigensolve, vectorized multiplet grouping
+    and one `_canonicalize_multiplets` call per multiplet size.
+    """
+    laps = np.asarray(lap, dtype=np.float64)
+    if laps.ndim not in (2, 3) or laps.shape[-1] != laps.shape[-2]:
+        raise ValueError("Laplacian must be a square matrix")
+    single = laps.ndim == 2
+    if single:
+        laps = laps[None]
     k, n, _ = laps.shape
     if not np.isfinite(laps).all():
         raise ValueError("Laplacian must be finite")
@@ -187,30 +199,19 @@ def _eigh_stack(laps: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         b, c = block[size == m], col[size == m]
         cells = (b[:, None, None], np.arange(n)[:, None], (c[:, None] + np.arange(m))[:, None])
         q[cells] = _canonicalize_multiplets(v[cells], p)
-    return w, q
+    return (w[0], q[0]) if single else (w, q)
 
 
-def _square(lap) -> np.ndarray:
-    lap = np.asarray(lap, dtype=np.float64)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise ValueError("Laplacian must be a square matrix")
-    return lap
-
-
-def laplacian_eigh(lap: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical eigendecomposition of a symmetric Laplacian matrix.
-
-    Returns ascending eigenvalues (zero group clamped to exactly 0) and the
-    Lp-normalized, sign-canonical eigenvector matrix.  Requires the zero
-    eigenvalue to be simple, i.e. the underlying graph must be connected.
-    """
-    lap = _square(lap)
-    w, q = _eigh_stack(lap[None], p)
-    return w[0], q[0]
-
-
-def _dual_bases(q: np.ndarray) -> np.ndarray:
-    """`dual_basis` for a (k, n, n) stack: one stacked solve, residual per block."""
+def dual_basis(q: np.ndarray) -> np.ndarray:
+    """Synthesis basis P with P.T == inv(Q), obtained by solving Q.T P = I,
+    for one basis or a (k, n, n) stack: one stacked solve, and the residual
+    checked per block."""
+    q = np.asarray(q, dtype=np.float64)
+    if not np.isfinite(q).all():
+        raise ValueError("analysis basis must be finite")
+    single = q.ndim == 2
+    if single:
+        q = q[None]
     n = q.shape[-1]
     try:
         p = np.linalg.solve(q.transpose(0, 2, 1), np.eye(n))
@@ -220,26 +221,18 @@ def _dual_bases(q: np.ndarray) -> np.ndarray:
     if np.any(residual > DUAL_RESIDUAL_TOL):
         worst = residual[residual > DUAL_RESIDUAL_TOL][0]
         raise ValueError(f"dual basis residual {worst:.2e} exceeds tolerance")
-    return p
-
-
-def dual_basis(q: np.ndarray) -> np.ndarray:
-    """Synthesis basis P with P.T == inv(Q), obtained by solving Q.T P = I."""
-    q = np.asarray(q, dtype=np.float64)
-    if not np.isfinite(q).all():
-        raise ValueError("analysis basis must be finite")
-    return _dual_bases(q[None])[0]
+    return p[0] if single else p
 
 
 def eigenbasis_stack(laplacians: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
-    """Eigenvalues, analysis and synthesis stacks of a (d, s, s) stack of
+    """Eigenvalues, analysis and synthesis bases of a (d, s, s) stack of
     connected Laplacians, each bit-identical to decomposing its Laplacian
-    alone: one `_eigh_stack` and, for p=1, one stacked dual-basis solve.
-    The stacks are read-only, like the bases that are views of them."""
+    alone, or of one Laplacian: `laplacian_eigh` and, for p=1, `dual_basis`.
+    The arrays are read-only, like the bases that are views of them."""
     if p not in (1, 2):
         raise ValueError("normalization exponent must be 1 or 2")
-    w, q = _eigh_stack(laplacians, p)
-    stacks = w, q, (q if p == 2 else _dual_bases(q))
+    w, q = laplacian_eigh(laplacians, p)
+    stacks = w, q, (q if p == 2 else dual_basis(q))
     for array in stacks:
         array.flags.writeable = False
     return stacks
@@ -247,5 +240,6 @@ def eigenbasis_stack(laplacians: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
 
 def local_eigenbasis(local_laplacian: np.ndarray, p: int) -> LocalEigenBasis:
     """Full analysis/synthesis eigenbasis of one connected subgraph Laplacian."""
-    w, q, synthesis = eigenbasis_stack(_square(local_laplacian)[None], p)
-    return LocalEigenBasis(eigenvalues=w[0], analysis=q[0], synthesis=synthesis[0], p=p)
+    if np.ndim(local_laplacian) != 2:
+        raise ValueError("Laplacian must be a square matrix")
+    return LocalEigenBasis(*eigenbasis_stack(local_laplacian, p), p=p)

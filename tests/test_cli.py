@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import edge_tuples
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph, analyze_cascade,
-                   best_level_nla, fileio, grid_graph, haar_partition, line_graph,
-                   nla_compress, sbm_graph, synthesize_cascade)
+                   best_level_nla, edge_aware_adjacency, fileio, grid_graph, haar_partition,
+                   line_graph, louvain, nla_compress, sbm_graph, synthesize_cascade)
 from cosub.cli import build_parser, main
 from test_filterbank import weighted_graphs
 
@@ -205,6 +205,22 @@ class TestPartitionCommand:
         part = fileio.read_partition(out)
         assert np.array_equal(part.labels, [1, 1, 1, 2, 2])
 
+    def test_edaw_detects_on_the_edge_aware_graph(self, tmp_path, capsys):
+        graph = grid_graph(6, 6)
+        x = np.where(np.arange(graph.n) % 6 < 3, 1.0, -1.0) + 0.01 * np.arange(graph.n)
+        fileio.write_edge_list(graph, tmp_path / "g.tsv")
+        fileio.write_signal(x, tmp_path / "x.csv")
+        out = tmp_path / "part.txt"
+        code = main(["partition", "--graph", str(tmp_path / "g.tsv"),
+                     "--signal", str(tmp_path / "x.csv"), "--method", "edaw", "--impl", "sc",
+                     "--seed", "2", "--out", str(out)])
+        assert code == 0
+        config = PartitionConfig(variant="sc", tau=1000, seed=2, edge_aware=True)
+        expected = louvain(edge_aware_adjacency(graph, fileio.read_signal(tmp_path / "x.csv")),
+                           config)
+        assert np.array_equal(fileio.read_partition(out).labels, expected.labels)
+        assert f"subgraphs: {expected.n_subgraphs}\n" in capsys.readouterr().out
+
     def test_edaw_requires_signal(self, toy_files, capsys):
         code = main(["partition", "--graph", str(toy_files["graph"]),
                      "--method", "edaw", "--impl", "sc",
@@ -350,14 +366,32 @@ class TestAnalyzeSynthesize:
         assert code == 3
         assert capsys.readouterr().err == "error: level failed\n"
 
-    def test_missing_channel_file_fails(self, toy_files, capsys):
+    def test_missing_channel_file_fails(self, toy_files, capsys, monkeypatch):
         outdir = toy_files["dir"] / "run"
         assert self.run_analyze(toy_files, outdir) == 0
-        (outdir / "level1_channel_02.csv").unlink()
+        missing = outdir / "level1_channel_02.csv"
+        missing.unlink()
+        import cosub.cli
+        built = []
+        monkeypatch.setattr(cosub.cli, "build_operators", lambda *a: built.append(a))
         code = main(["synthesize", "--manifest", str(outdir / "manifest.json"),
                      "--out", str(toy_files["dir"] / "rec.csv")])
         assert code == 2
-        assert "missing" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: cannot read manifest artifact {missing}: "
+                                           f"[Errno 2] No such file or directory: '{missing}'\n")
+        assert built == []  # the level's files are read before its eigensolve
+
+    def test_a_ext_files_are_not_read(self, toy_files, capsys):
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        for j in (1, 2):
+            (outdir / f"level{j}_a_ext.tsv").unlink()
+        rec = toy_files["dir"] / "rec.csv"
+        code = main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(rec), "--reference", str(toy_files["signal"])])
+        assert code == 0
+        assert np.allclose(fileio.read_signal(rec), fileio.read_signal(toy_files["signal"]),
+                           atol=1e-12, rtol=0)
 
     def test_zeroed_details_reconstruct_blockwise_constant(self, toy_files, tmp_path):
         const_signal = tmp_path / "const.csv"
@@ -749,27 +783,71 @@ class TestUnwritableOutput:
         assert code == 2
         assert f"error: cannot write {what.format(**names)}: [Errno" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, extra, what, error", [
-        ("analyze", ["--outdir", "{file}"], "output directory {file}", "[Errno 17] File exists"),
-        ("compress", ["--keep-hp", "1", "--out", "{missing}/c.csv"], "signal {missing}/c.csv",
+    @pytest.mark.parametrize("argv, what, error", [
+        (["analyze", "--outdir", "{file}"], "output directory {file}", "[Errno 17] File exists"),
+        (["compress", "--keep-hp", "1", "--out", "{missing}/c.csv"], "signal {missing}/c.csv",
          "[Errno 2] No such file or directory"),
-        ("denoise", ["--sigma", "0.1", "--out", "{dir}"], "signal {dir}",
+        (["denoise", "--sigma", "0.1", "--out", "{dir}"], "signal {dir}",
          "[Errno 21] Is a directory"),
-        ("atoms", ["--out", "{dir}"], "atoms {dir}", "[Errno 21] Is a directory"),
+        (["atoms", "--out", "{dir}"], "atoms {dir}", "[Errno 21] Is a directory"),
+        (["partition", "--method", "cosub", "--impl", "sc", "--out", "{dir}"], "partition {dir}",
+         "[Errno 21] Is a directory"),
+        (["synthesize", "--manifest", "{absent}", "--out", "{dir}"], "signal {dir}",
+         "[Errno 21] Is a directory"),
+        (["analyze", "--outdir", "{file}/sub"], "output directory {file}/sub",
+         "[Errno 20] Not a directory"),
+        (["compress", "--keep-hp", "1", "--out", "{file}/c.csv"], "signal {file}/c.csv",
+         "[Errno 20] Not a directory"),
     ], ids=["outdir-is-a-file", "out-in-a-missing-directory", "out-is-a-directory",
-            "atoms-out-is-a-directory"])
-    def test_is_found_before_any_input_is_read(self, toy_files, capsys, command, extra, what,
-                                               error):
-        """The graph named does not exist: the error is the output's."""
+            "atoms-out-is-a-directory", "partition-out-is-a-directory",
+            "synthesize-out-is-a-directory", "outdir-below-a-file", "out-below-a-file"])
+    def test_is_found_before_any_input_is_read(self, toy_files, capsys, argv, what, error):
+        """The graph (or manifest) named does not exist: the error is the
+        output's."""
         names = {"file": str(toy_files["p1"]), "dir": str(toy_files["dir"]),
-                 "missing": str(toy_files["dir"] / "missing")}
+                 "missing": str(toy_files["dir"] / "missing"),
+                 "absent": str(toy_files["dir"] / "absent.json")}
         target = what.format(**names).split(" ")[-1]
-        code = main([command, "--graph", str(toy_files["dir"] / "absent.tsv"),
-                     "--signal", str(toy_files["signal"]), "--partition", str(toy_files["p1"]),
-                     "--levels", "1", *[a.format(**names) for a in extra]])
+        inputs = ["--graph", str(toy_files["dir"] / "absent.tsv"),
+                  "--signal", str(toy_files["signal"])]
+        if argv[0] == "synthesize":
+            inputs = []  # its one input is the manifest, in argv
+        elif argv[0] != "partition":
+            inputs += ["--partition", str(toy_files["p1"]), "--levels", "1"]
+        code = main([argv[0], *inputs, *[a.format(**names) for a in argv[1:]]])
         assert code == 2
         assert capsys.readouterr().err == \
             f"error: cannot write {what.format(**names)}: {error}: {target!r}\n"
+
+    @pytest.mark.parametrize("command, extra", [
+        ("analyze", ["--outdir", "{file}/sub"]),
+        ("compress", ["--keep-hp", "1", "--out", "{file}/c.csv"]),
+    ], ids=["outdir-below-a-file", "out-below-a-file"])
+    def test_message_is_the_writers(self, toy_files, capsys, command, extra):
+        """An output below a file is refused with the error its write gives."""
+        extra = [a.format(file=toy_files["p1"]) for a in extra]
+        with pytest.raises(OSError) as write:
+            if command == "analyze":
+                Path(extra[-1]).mkdir(parents=True, exist_ok=True)
+            else:
+                open(extra[-1], "w").close()
+        what = "output directory" if command == "analyze" else "signal"
+        code = main([command, "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]), "--partition", str(toy_files["p1"]),
+                     "--levels", "1", *extra])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {what} {extra[-1]}: {write.value}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_usage_error(self, toy_files, capsys):
+        """A device that refuses the bytes passes the early check; the write
+        itself fails (ENOSPC) and is reported as the output's error."""
+        code = main(["denoise", "--graph", str(toy_files["graph"]),
+                     "--signal", str(toy_files["signal"]), "--partition", str(toy_files["p1"]),
+                     "--levels", "1", "--sigma", "0.1", "--out", "/dev/full"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: cannot write signal /dev/full: [Errno 28] No space left on device\n"
 
 
 class TestArgumentsRejectedAtEntry:

@@ -442,6 +442,45 @@ class TestStackedAgainstOracle:
         assert np.array_equal(w, oracle.laplacian_eigh(lap, p)[0])
         assert np.array_equal(dual_basis(q), oracle.dual_basis(q))
 
+    @settings(max_examples=30, deadline=None)
+    @given(laps=mixed_levels(), p=st.sampled_from([1, 2]))
+    def test_public_entries_take_a_stack(self, laps, p):
+        """`laplacian_eigh` and `dual_basis` give each block of a stack its
+        own single-block result, bit for bit."""
+        for size in {len(lap) for lap in laps}:
+            group = [lap for lap in laps if len(lap) == size]
+            w, q = laplacian_eigh(np.stack(group), p)
+            synthesis = dual_basis(q)
+            for lap, *stacked in zip(group, w, q, synthesis):
+                w_alone, q_alone = laplacian_eigh(lap, p)
+                alone = w_alone, q_alone, dual_basis(q_alone)
+                assert all(np.array_equal(s, a) for s, a in zip(stacked, alone))
+
+    def test_dual_basis_names_the_first_block_over_tolerance(self):
+        hilbert = 1.0 / (np.arange(9)[:, None] + np.arange(9) + 1)
+        bad = [hilbert, hilbert[::-1]]
+        messages = []
+        for q in bad:
+            with pytest.raises(ValueError, match="exceeds tolerance") as alone:
+                dual_basis(q)
+            messages.append(str(alone.value))
+        assert messages[0] != messages[1]
+        for order in ([0, 1], [1, 0]):
+            with pytest.raises(ValueError) as stacked:
+                dual_basis(np.stack([np.eye(9), *(bad[i] for i in order)]))
+            assert str(stacked.value) == messages[order[0]]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3), (1, 1, 3, 3)])
+    def test_other_shapes_are_not_laplacians(self, shape):
+        with pytest.raises(ValueError, match="^Laplacian must be a square matrix$"):
+            laplacian_eigh(np.zeros(shape), 1)
+        with pytest.raises(ValueError, match="^Laplacian must be a square matrix$"):
+            local_eigenbasis(np.zeros(shape), 1)
+
+    def test_local_eigenbasis_takes_one_block(self):
+        with pytest.raises(ValueError, match="^Laplacian must be a square matrix$"):
+            local_eigenbasis(np.stack([TRIANGLE, TRIANGLE]), 1)
+
     def test_generic_and_fallback_multiplets_in_one_stack(self, monkeypatch):
         searched = []
         reference = spectral._independent_rows
