@@ -208,7 +208,8 @@ def _analysis_artifacts(pyramid, outdir: Path, zero_based: bool):
 
 
 def cmd_analyze(args) -> int:
-    _, pyramid = _run_cascade(args)
+    with fileio._digests_of_reads() as digests:  # the inputs' digests, from their one read
+        _, pyramid = _run_cascade(args)
     outdir = Path(args.outdir)
     manifest_path = outdir / "manifest.json"
     earlier = _earlier_artifacts(manifest_path)
@@ -219,8 +220,8 @@ def cmd_analyze(args) -> int:
         "format_version": MANIFEST_VERSION,
         "command": args.argv,
         "inputs": {
-            "graph": {"path": str(args.graph), "sha256": fileio.sha256_file(args.graph)},
-            "signal": {"path": str(args.signal), "sha256": fileio.sha256_file(args.signal)},
+            "graph": {"path": str(args.graph), "sha256": digests[str(args.graph)]},
+            "signal": {"path": str(args.signal), "sha256": digests[str(args.signal)]},
         },
         "n": pyramid.n,
         "p": pyramid.p,
@@ -264,11 +265,14 @@ def _artifact(base: Path, name) -> Path:
 def _artifact_paths(manifest: dict, base: Path):
     """The levels' (n, partition, a_int, a_ext, channels), artifacts as paths
     in `base`, and the final approximation's path.  KeyError or TypeError
-    for a missing or invalid field."""
+    for a missing or invalid field, CliError for levels that are not a list."""
+    levels = manifest["levels"]
+    if not isinstance(levels, list):
+        raise CliError(f"malformed manifest: levels must be a list, got {type(levels).__name__}")
     entries = [(entry["n"], _artifact(base, entry["partition"]),
                 _artifact(base, entry["a_int"]), _artifact(base, entry["a_ext"]),
                 [_artifact(base, name) for name in entry["channels"]])
-               for entry in manifest["levels"]]
+               for entry in levels]
     return entries, _artifact(base, manifest["final_approximation"])
 
 
@@ -285,10 +289,12 @@ def _earlier_artifacts(manifest_path: Path) -> set:
 
 
 def _rebuild_from_manifest(manifest: dict, base: Path):
-    """Per-level operators and detail channels, and the final approximation.
-    Every artifact the manifest's "sha256" map names is checked against it as
-    it is read; a manifest without the map is read unchecked."""
+    """Per-level operators and detail channels, the final approximation and
+    the manifest's node count.  Every artifact the manifest's "sha256" map
+    names is checked against it as it is read; a manifest without the map is
+    read unchecked.  The final approximation is read before any eigensolve."""
     try:
+        n_total = manifest["n"]
         p = manifest["p"]
         zero_based = manifest.get("zero_based_labels", False)
         sha256 = manifest.get("sha256", {})
@@ -302,10 +308,13 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
                        f"got {zero_based!r}")
     if not (isinstance(sha256, dict) and all(isinstance(v, str) for v in sha256.values())):
         raise CliError("malformed manifest: sha256 must map artifact names to hex digests")
+    if type(n_total) is not int or n_total < 1:
+        raise CliError(f"malformed manifest: n must be a positive integer, got {n_total!r}")
 
     def read(reader, path, **kwargs):
         return _read("manifest artifact", reader, path, sha256=sha256.get(path.name), **kwargs)
 
+    final = read(fileio.read_signal, final_path)
     levels = []
     for n, part_path, a_int_path, _, chan_paths in entries:
         if type(n) is not int or n < 1:
@@ -319,18 +328,24 @@ def _rebuild_from_manifest(manifest: dict, base: Path):
         except ValueError:  # a partition that does not fit its graph is named (exit 2)
             _check_partition(a_int, partition, f"manifest artifact {part_path}")
             raise
+        # Each dual basis is solved here, so that one over the residual
+        # tolerance is a numeric failure (exit 3), not an inconsistent level.
+        for c in operators.classes:
+            c.synthesis  # a cached property: reading it solves the dual
         levels.append((operators, details))
-    return levels, read(fileio.read_signal, final_path)
+    return levels, final, n_total
 
 
 def cmd_synthesize(args) -> int:
     manifest = _read("manifest", fileio.read_manifest, args.manifest)
-    levels, x = _rebuild_from_manifest(manifest, Path(args.manifest).parent)
+    levels, x, n = _rebuild_from_manifest(manifest, Path(args.manifest).parent)
     for j, (operators, details) in reversed(list(enumerate(levels, start=1))):
         try:
             x = synthesize_level([x] + details, operators)
         except ValueError as exc:  # channel count or length
             raise CliError(f"manifest level {j} is inconsistent: {exc}") from exc
+    if len(x) != n:
+        raise CliError(f"malformed manifest: n is {n}, but its levels reconstruct {len(x)} values")
     ref = _load_signal(args.reference, len(x)) if args.reference else None
     _write("signal", args.out, fileio.write_signal, x, args.out)
     print(f"reconstructed {len(x)} values -> {args.out}")

@@ -7,6 +7,8 @@ import json
 import os
 import stat
 import warnings
+from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +26,23 @@ MAX_NODES = 10_000_000
 def _write_text(path, text: str) -> str:
     """Write `text` over `path` in place and return the sha256 of its bytes.
 
-    The file is opened without O_TRUNC, written from the start and then cut
-    to the new length: truncating a non-empty file on open cost several times
-    more than writing it.  A symlink is written through, and a file that is
-    not regular (a device such as /dev/null, a pipe) is written and not cut.
-    When a write fails, a regular file is cut to 0 bytes before the error
-    propagates, so that no mix of old and new bytes is left."""
+    The file is opened without O_TRUNC, written from the start and then,
+    when it was longer than the new bytes, cut to their length: truncating a
+    non-empty file on open cost several times more than writing it.  A
+    symlink is written through, and a file that is not regular (a device
+    such as /dev/null, a pipe) is written and not cut.  When a write fails,
+    a regular file is cut to 0 bytes before the error propagates, so that no
+    mix of old and new bytes is left."""
     data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
         try:
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view):]
-            if regular:
+            if regular and info.st_size > len(data):
                 os.ftruncate(fd, len(data))
         except BaseException:
             if regular:
@@ -49,15 +53,33 @@ def _write_text(path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+_read_digests: dict | None = None  # filled by `_read_text` inside `_digests_of_reads`
+
+
+@contextmanager
+def _digests_of_reads():
+    """The sha256 of every file the readers read inside the block, by path
+    as given: a caller that records its inputs' digests reads each once."""
+    global _read_digests
+    outer, _read_digests = _read_digests, {}
+    try:
+        yield _read_digests
+    finally:
+        _read_digests = outer
+
+
 def _read_text(path, sha256: str | None = None) -> str:
-    """The text of `path`.  With `sha256`, the bytes read must hash to it;
-    they are read once, so the text returned is the text checked, and they
-    are decoded as the UTF-8 that `_write_text` wrote."""
-    if sha256 is None:
-        return Path(path).read_text()
+    """The text of `path`, decoded as the UTF-8 that `_write_text` writes,
+    whatever the locale.  With `sha256`, the bytes read must hash to it; they
+    are read once, so the text returned is the text checked.  Inside
+    `_digests_of_reads`, the digest of those bytes is recorded."""
     data = Path(path).read_bytes()
-    if hashlib.sha256(data).hexdigest() != sha256:
-        raise ValueError(f"{path}: sha256 does not match the manifest")
+    if sha256 is not None or _read_digests is not None:
+        digest = hashlib.sha256(data).hexdigest()
+        if sha256 is not None and digest != sha256:
+            raise ValueError(f"{path}: sha256 does not match the manifest")
+        if _read_digests is not None:
+            _read_digests[str(path)] = digest
     return data.decode()
 
 
@@ -66,14 +88,17 @@ def write_edge_list(graph: WeightedGraph, path) -> str:
     trailing isolated nodes survive the round trip.  Returns the sha256 of
     the bytes written, as every writer here does."""
     u, v, w = graph.edge_arrays()
-    # Each distinct weight is formatted once.  Distinct bit patterns, not
-    # values, so that -0.0 and 0.0 keep their own text.
+    # Each distinct weight, and each node index that occurs, is formatted
+    # once, so the text tables grow with the edges and not with `graph.n`;
+    # object arrays of the texts are indexed at C speed.  Distinct bit
+    # patterns, not values, so that -0.0 and 0.0 keep their own text.
     distinct, which = np.unique(w.view(np.int64), return_inverse=True)
-    texts = list(map(FLOAT_FMT.__mod__, distinct.view(np.float64).tolist()))
-    lines = [f"# nodes: {graph.n}"]
-    lines += [f"{a}\t{b}\t{c}" for a, b, c in
-              zip(u.tolist(), v.tolist(), map(texts.__getitem__, which.tolist()))]
-    return _write_text(path, "\n".join(lines) + "\n")
+    nodes, index = np.unique(np.concatenate((u, v)), return_inverse=True)
+    weights = np.array(list(map(FLOAT_FMT.__mod__, distinct.view(np.float64).tolist())), object)
+    names = np.array(list(map(str, nodes.tolist())), object)
+    columns = names[index[:len(u)]], names[index[len(u):]], weights[which]
+    lines = map("\t".join, zip(*(column.tolist() for column in columns)))
+    return _write_text(path, "\n".join(chain([f"# nodes: {graph.n}"], lines)) + "\n")
 
 
 def read_edge_list(path, n: int | None = None, sha256: str | None = None) -> WeightedGraph:

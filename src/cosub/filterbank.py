@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from .graphs import SubgraphPartition, WeightedGraph, as_signal, coarsen, split_adjacency
 from .partition import PartitionConfig, edge_aware_adjacency, louvain
-from .spectral import LocalEigenBasis, eigenbasis_stack
+from .spectral import LocalEigenBasis, dual_basis, laplacian_eigh
 
 
 @dataclass(frozen=True, eq=False)
@@ -20,15 +20,24 @@ class SizeClass:
     `positions[i]` of the s coefficients, mode 1 first.  Its basis is row
     `rows[i]` of the read-only (d, s) `eigenvalues` and (d, s, s) `analysis`
     and `synthesis` stacks of the class's d distinct bases, as
-    `eigenbasis_stack` solved them for the norm exponent `p`."""
+    `laplacian_eigh` solved them for the norm exponent `p`."""
 
     nodes: np.ndarray
     positions: np.ndarray
     rows: np.ndarray
     eigenvalues: np.ndarray
     analysis: np.ndarray
-    synthesis: np.ndarray
     p: int
+
+    @cached_property
+    def synthesis(self) -> np.ndarray:
+        """The analysis stack for p=2; for p=1 its `dual_basis`, solved on
+        first read, so that analysis alone never pays for it."""
+        if self.p == 2:
+            return self.analysis
+        dual = dual_basis(self.analysis)
+        dual.flags.writeable = False
+        return dual
 
     def per_block(self, stack: np.ndarray) -> np.ndarray:
         """A stack lined up with the rows for a broadcasting `np.matmul`: as it
@@ -239,9 +248,11 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     the level's one `split_adjacency` gives their `a_int` and `a_ext`.
 
     Only the distinct blocks (`_distinct_laplacians`) are solved, one
-    `eigenbasis_stack` per size class; every block with the same Laplacian
+    `laplacian_eigh` per size class; every block with the same Laplacian
     bytes uses that basis row.  The eigensolve rejects a disconnected subgraph;
     one above `MAX_BLOCK_SIZE` nodes raises `BlockSizeError` before any dense allocation.
+    A p=1 dual basis is solved, and its residual checked, when a synthesis
+    first reads it (`SizeClass.synthesis`).
     """
     a_int, a_ext = split_adjacency(graph, partition)
     sizes = partition.sizes
@@ -262,8 +273,9 @@ def build_operators(graph: WeightedGraph, partition: SubgraphPartition,
     classes = []
     for blocks, rows, laplacians in _distinct_laplacians(a_int, partition, local_rank):
         cells = start[blocks][:, None] + np.arange(laplacians.shape[1])
-        classes.append(SizeClass(block_nodes[cells], position[cells], rows,
-                                 *eigenbasis_stack(laplacians, p), p))
+        w, q = laplacian_eigh(laplacians, p)
+        w.flags.writeable = q.flags.writeable = False
+        classes.append(SizeClass(block_nodes[cells], position[cells], rows, w, q, p))
     return LevelOperators(partition=partition, classes=tuple(classes), order=order,
                           offsets=np.concatenate([[0], np.cumsum(np.bincount(mode))]),
                           a_int=a_int, a_ext=a_ext)

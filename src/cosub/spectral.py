@@ -57,21 +57,28 @@ def lp_normalize(v: np.ndarray, p: int) -> np.ndarray:
 
 def _canonical_columns(vecs: np.ndarray, p: int) -> np.ndarray:
     """Column-wise `lp_normalize` followed by the sign rule, for one block or
-    a stack of blocks (columns run along the second-to-last axis).
+    a stack of blocks (columns run along the second-to-last axis), in place:
+    `vecs` is overwritten and returned.
 
     Column sums follow the memory layout: a column stored contiguously is
     summed pairwise, one spread across rows sequentially.  Callers keep each
-    column's layout as the single-block computation has it."""
+    column's layout as the single-block computation has it, and both sums
+    here run on that one array."""
     if p not in (1, 2):
         raise ValueError("normalization exponent must be 1 or 2")
     norms = (np.abs(vecs).sum(axis=-2, keepdims=True) if p == 1
              else np.sqrt((vecs * vecs).sum(axis=-2, keepdims=True)))
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize the zero vector")
-    out = vecs / norms
-    nz = np.abs(out) > SIGN_EPS * np.sqrt((out * out).sum(axis=-2, keepdims=True))
-    first = np.take_along_axis(out, nz.argmax(axis=-2)[..., None, :], axis=-2)
-    return np.where(nz.any(axis=-2, keepdims=True) & (first < 0.0), -out, out)
+    out = np.divide(vecs, norms, out=vecs)
+    eps = SIGN_EPS * np.sqrt((out * out).sum(axis=-2, keepdims=True))
+    # The first coefficient above `eps`, or row 0 when none is: only a
+    # coefficient below -eps flips its column.  Multiplying by a ±1.0 row
+    # negates exactly, and unlike a masked negation does not broadcast the
+    # mask over every row.
+    first = np.take_along_axis(out, (np.abs(out) > eps).argmax(axis=-2)[..., None, :], axis=-2)
+    out *= np.where(first < -eps, -1.0, 1.0)
+    return out
 
 
 def canonicalize_degenerate(eigenspace: np.ndarray, p: int) -> np.ndarray:
@@ -170,9 +177,11 @@ def laplacian_eigh(lap: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     k, n, _ = laps.shape
     if not np.isfinite(laps).all():
         raise ValueError("Laplacian must be finite")
-    scale = np.maximum(1.0, np.abs(laps).max(axis=(1, 2)))
-    if np.any(np.abs(laps - laps.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10 * scale):
-        raise ValueError("Laplacian must be symmetric")
+    transposed = laps.transpose(0, 2, 1)
+    if not np.array_equal(laps, transposed):
+        scale = np.maximum(1.0, np.abs(laps).max(axis=(1, 2)))
+        if np.any(np.abs(laps - transposed).max(axis=(1, 2)) > 1e-10 * scale):
+            raise ValueError("Laplacian must be symmetric")
     w, v = np.linalg.eigh(laps)
     tol = EIGENVALUE_GROUP_RTOL * np.maximum(1.0, np.abs(w).max(axis=1))
     if np.any(np.abs(w[:, 0]) > tol):
@@ -224,22 +233,9 @@ def dual_basis(q: np.ndarray) -> np.ndarray:
     return p[0] if single else p
 
 
-def eigenbasis_stack(laplacians: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
-    """Eigenvalues, analysis and synthesis bases of a (d, s, s) stack of
-    connected Laplacians, each bit-identical to decomposing its Laplacian
-    alone, or of one Laplacian: `laplacian_eigh` and, for p=1, `dual_basis`.
-    The arrays are read-only, like the bases that are views of them."""
-    if p not in (1, 2):
-        raise ValueError("normalization exponent must be 1 or 2")
-    w, q = laplacian_eigh(laplacians, p)
-    stacks = w, q, (q if p == 2 else dual_basis(q))
-    for array in stacks:
-        array.flags.writeable = False
-    return stacks
-
-
 def local_eigenbasis(local_laplacian: np.ndarray, p: int) -> LocalEigenBasis:
     """Full analysis/synthesis eigenbasis of one connected subgraph Laplacian."""
     if np.ndim(local_laplacian) != 2:
         raise ValueError("Laplacian must be a square matrix")
-    return LocalEigenBasis(*eigenbasis_stack(local_laplacian, p), p=p)
+    w, q = laplacian_eigh(local_laplacian, p)
+    return LocalEigenBasis(w, q, q if p == 2 else dual_basis(q), p=p)

@@ -743,6 +743,95 @@ class TestAnalyzeSynthesize:
         assert main(["synthesize", "--manifest", str(run / "manifest.json"),
                      "--out", str(tmp_path / "rec.csv")]) == 0
 
+    @staticmethod
+    def analyze_grid(tmp_path, side, levels):
+        """Analyze a random signal on a side x side grid; returns the output directory."""
+        graph, signal, outdir = tmp_path / "grid.tsv", tmp_path / "x.csv", tmp_path / "run"
+        fileio.write_edge_list(grid_graph(side, side), graph)
+        fileio.write_signal(np.random.default_rng(side).normal(size=side * side), signal)
+        assert main(["analyze", "--graph", str(graph), "--signal", str(signal),
+                     "--levels", str(levels), "--outdir", str(outdir)]) == 0
+        return outdir
+
+    @pytest.mark.parametrize("levels, message", [
+        ([], "malformed manifest: n is 36, but its levels reconstruct 7 values"),
+        ({}, "malformed manifest: levels must be a list, got dict"),
+    ], ids=["empty-list", "dict"])
+    def test_levels_that_do_not_rebuild_n_values_are_usage_error(self, tmp_path, capsys,
+                                                                 levels, message):
+        outdir = self.analyze_grid(tmp_path, 6, 2)
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["n"] == 36
+        assert len(fileio.read_signal(outdir / manifest["final_approximation"])) == 7
+        manifest["levels"] = levels
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rec = tmp_path / "rec.csv"
+        assert main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(rec)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not rec.exists()
+
+    @pytest.mark.parametrize("n", [None, "36", 0, True])
+    def test_invalid_manifest_n_is_usage_error(self, tmp_path, capsys, n):
+        outdir = self.analyze_grid(tmp_path, 6, 2)
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        if n is None:
+            del manifest["n"]
+        else:
+            manifest["n"] = n
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(tmp_path / "rec.csv")]) == 2
+        assert re.search(r"malformed manifest: .*\bn\b", capsys.readouterr().err)
+
+    def test_missing_final_approximation_fails_before_any_eigensolve(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        outdir = self.analyze_grid(tmp_path, 8, 3)
+        assert len(fileio.read_manifest(outdir / "manifest.json")["levels"]) == 3
+        (outdir / "final_approximation.csv").unlink()
+        import cosub.cli
+        calls = []
+        build = cosub.cli.build_operators
+        monkeypatch.setattr(cosub.cli, "build_operators",
+                            lambda *args: calls.append(args) or build(*args))
+        capsys.readouterr()
+        assert main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(tmp_path / "rec.csv")]) == 2
+        assert "final_approximation.csv" in capsys.readouterr().err
+        assert calls == []
+
+    def test_dual_residual_is_checked_by_synthesize_not_analyze(self, toy_files, capsys,
+                                                                 monkeypatch):
+        import cosub.spectral
+        monkeypatch.setattr(cosub.spectral, "DUAL_RESIDUAL_TOL", -1.0)
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        capsys.readouterr()
+        rec = toy_files["dir"] / "rec.csv"
+        assert main(["synthesize", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(rec)]) == 3
+        assert re.fullmatch(r"error: dual basis residual \S+ exceeds tolerance\n",
+                            capsys.readouterr().err)
+        assert not rec.exists()
+
+    def test_analyze_reads_each_input_once(self, toy_files, monkeypatch):
+        """The manifest's input digests are those of the bytes the readers parsed."""
+        opened, real_open = [], Path.open
+        monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs:
+                            opened.append(self.name) or real_open(self, *args, **kwargs))
+        outdir = toy_files["dir"] / "run"
+        assert self.run_analyze(toy_files, outdir) == 0
+        monkeypatch.undo()
+        assert opened.count("toy.tsv") == 1 and opened.count("x.csv") == 1
+        inputs = json.loads((outdir / "manifest.json").read_text())["inputs"]
+        assert inputs["graph"] == {"path": str(toy_files["graph"]),
+                                   "sha256": _sha256(toy_files["graph"])}
+        assert inputs["signal"] == {"path": str(toy_files["signal"]),
+                                    "sha256": _sha256(toy_files["signal"])}
+        assert fileio._read_digests is None
+
     @pytest.mark.parametrize("earlier", [
         "not json",
         json.dumps({"format_version": 1, "levels": [], "final_approximation": "../x.csv"}),

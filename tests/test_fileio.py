@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fileio_oracle as oracle
+import writer_oracle
 from cosub import SubgraphPartition, WeightedGraph, fileio, sbm_graph
 from cosub.fileio import FLOAT_FMT, MAX_NODES
 
@@ -302,6 +303,57 @@ class TestRoundTrips:
         assert back.labels.tobytes() == partition.labels.tobytes()
 
 
+@st.composite
+def writer_graphs(draw):
+    """Graphs for the edge-list writer: node indices of one to several
+    digits, trailing isolated nodes, 0 edges or more, and unit, integer,
+    repeated, subnormal and 1e308 weights."""
+    touched = draw(st.integers(2, 12))
+    spacing = draw(st.sampled_from([1, 7, 1000]))
+    n = (touched - 1) * spacing + 1 + draw(st.integers(0, 3))
+    pairs = draw(st.lists(st.tuples(st.integers(0, touched - 1), st.integers(0, touched - 1))
+                          .filter(lambda e: e[0] != e[1]),
+                          unique_by=lambda e: (min(e), max(e)), max_size=30))
+    weights = (st.sampled_from([1.0, 2.0, 3.0, 5e-324, 2.5e-310, 1e308])
+               | st.integers(1, 2**53).map(float) | st.floats(5e-324, 1e308))
+    return WeightedGraph.from_edges(
+        n, [(spacing * u, spacing * v, draw(weights)) for u, v in pairs])
+
+
+def test_readers_decode_utf8_whatever_the_locale(tmp_path, monkeypatch):
+    """Every reader decodes UTF-8, also where the locale's text encoding
+    could not: the files read back as they do under a UTF-8 locale."""
+    import io
+    comment = "# café\n"
+    (tmp_path / "g.tsv").write_bytes((comment + "0\t1\t2.5\n").encode())
+    (tmp_path / "x.csv").write_bytes((comment + "1.5\n-2\n").encode())
+    (tmp_path / "p.csv").write_bytes((comment + "1\n2\n").encode())
+    monkeypatch.setattr(io, "text_encoding", lambda encoding, stacklevel=2: encoding or "ascii")
+    graph = fileio.read_edge_list(tmp_path / "g.tsv")
+    assert graph.n == 2 and graph.edge_arrays()[2].tolist() == [2.5]
+    assert fileio.read_signal(tmp_path / "x.csv").tolist() == [1.5, -2.0]
+    assert fileio.read_partition(tmp_path / "p.csv").sizes.tolist() == [1, 1]
+
+
+class TestEdgeListWriter:
+    @given(graph=writer_graphs())
+    def test_bytes_and_sha256_match_the_oracle(self, scratch, graph):
+        assert fileio.write_edge_list(graph, scratch) == writer_oracle.edge_list_sha256(graph)
+        assert scratch.read_bytes() == writer_oracle.edge_list_text(graph).encode()
+
+    def test_memory_grows_with_the_edges_not_the_nodes(self, tmp_path):
+        graph = WeightedGraph.from_edges(1_000_000, [(0, 999_999, 1.0)])
+        path = tmp_path / "g.tsv"
+        tracemalloc.start()
+        try:
+            fileio.write_edge_list(graph, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert path.read_text() == "# nodes: 1000000\n0\t999999\t1\n"
+
+
 class TestWriteInPlace:
     """`_write_text` writes over an existing file without O_TRUNC and cuts
     it to length: short writes are resumed, and a failed write leaves an
@@ -333,3 +385,15 @@ class TestWriteInPlace:
         assert info.value.errno == errno.ENOSPC
         assert len(calls) == 2
         assert path.read_bytes() == b""
+
+    def test_file_is_cut_only_when_it_was_longer(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        real_ftruncate, cuts = os.ftruncate, []
+        monkeypatch.setattr(os, "ftruncate",
+                            lambda fd, size: cuts.append(size) or real_ftruncate(fd, size))
+        for before, cut in ((None, []), ("9\n" * 1000, [4]), ("7\n8\n", []), ("7\n", [])):
+            if before is not None:
+                path.write_text(before)
+            cuts.clear()
+            fileio.write_signal([1.0, 2.0], path)
+            assert path.read_text() == "1\n2\n" and cuts == cut

@@ -3,6 +3,7 @@
 import itertools
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph,
                    analyze_cascade, analyze_level, build_operators, compute_atoms,
                    connected_components, filterbank, grid_graph, haar_partition,
                    line_graph, local_eigenbasis, louvain, partition_is_connected,
-                   sbm_graph, split_adjacency, synthesize_cascade, synthesize_level)
+                   sbm_graph, spectral, split_adjacency, synthesize_cascade,
+                   synthesize_level)
 from test_partition import block_graphs
 
 TOY_SECOND_LEVEL = SubgraphPartition.from_labels([1, 1])
@@ -419,6 +421,74 @@ class TestDerivedViews:
             assert got.dtype == nodes.dtype and got.tolist() == nodes.tolist()
         for basis, nodes in zip(ops.bases, want):
             assert basis.size == len(nodes) and basis.p == p
+
+
+class TestLazyDual:
+    """A p=1 synthesis stack is its class's `dual_basis`, solved when a
+    synthesis first reads it: analysis and atoms never solve one."""
+
+    @pytest.fixture
+    def dual_calls(self, monkeypatch):
+        """The shape of every stack `dual_basis` solves."""
+        calls, solve = [], spectral.dual_basis
+
+        def counted(q):
+            calls.append(np.shape(q))
+            return solve(q)
+        for module in (spectral, filterbank):
+            monkeypatch.setattr(module, "dual_basis", counted)
+        return calls
+
+    @staticmethod
+    def pyramid(p):
+        graph = grid_graph(8, 8)
+        x = np.random.default_rng(5).normal(size=graph.n)
+        return x, analyze_cascade(graph, x, PartitionConfig("sc", seed=0), p=p, max_levels=3)
+
+    def test_analysis_and_atoms_solve_none_and_synthesis_one_per_class(self, dual_calls):
+        x, pyramid = self.pyramid(1)
+        compute_atoms(pyramid)
+        assert pyramid.num_levels == 3 and dual_calls == []
+        # Synthesis runs from the deepest level up.
+        shapes = [c.analysis.shape for level in reversed(pyramid.levels)
+                  for c in level.operators.classes]
+        assert len(shapes) > pyramid.num_levels
+        for _ in range(2):
+            assert np.abs(synthesize_cascade(pyramid) - x).max() <= 1e-10
+            assert dual_calls == shapes
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_synthesis_stack_is_the_read_only_dual(self, p):
+        _, pyramid = self.pyramid(p)
+        for level in pyramid.levels:
+            for c in level.operators.classes:
+                assert c.synthesis is c.synthesis
+                assert not c.synthesis.flags.writeable
+                if p == 2:
+                    assert c.synthesis is c.analysis
+                else:
+                    want = spectral.dual_basis(c.analysis)
+                    assert c.synthesis.dtype == want.dtype
+                    assert c.synthesis.tobytes() == want.tobytes()
+
+    def test_dual_over_tolerance_raises_at_synthesis(self):
+        graph = grid_graph(3, 3)
+        ops = build_operators(graph, SubgraphPartition.from_labels([1] * 9), p=1)
+        hilbert = 1.0 / (np.arange(9)[:, None] + np.arange(9) + 1)
+        with pytest.raises(ValueError, match="exceeds tolerance") as expected:
+            spectral.dual_basis(hilbert)
+        bad = replace(ops, classes=(replace(ops.classes[0], analysis=hilbert[None]),))
+        channels, _ = analyze_level(np.arange(9.0), graph, bad, bad.a_ext)
+        with pytest.raises(ValueError) as raised:
+            synthesize_level(channels, bad)
+        assert str(raised.value) == str(expected.value)
+
+    def test_cascade_over_tolerance_raises_at_synthesis(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DUAL_RESIDUAL_TOL", 1e-300)
+        _, pyramid = self.pyramid(1)
+        compute_atoms(pyramid)
+        with pytest.raises(ValueError, match=r"^dual basis residual \S+ exceeds tolerance$"):
+            synthesize_cascade(pyramid)
 
 
 class TestAnalyzeSynthesizeLevel:

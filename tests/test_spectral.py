@@ -412,8 +412,10 @@ def _assert_matches_oracle(basis, lap, p):
 
 
 def _stack_bases(laps, p):
-    """The bases of equal-size Laplacians, solved by one `eigenbasis_stack`."""
-    w, q, synthesis = spectral.eigenbasis_stack(np.stack(laps), p)
+    """The bases of equal-size Laplacians, solved by one `laplacian_eigh`
+    and, for p=1, one `dual_basis`."""
+    w, q = laplacian_eigh(np.stack(laps), p)
+    synthesis = q if p == 2 else dual_basis(q)
     return [spectral.LocalEigenBasis(*parts, p=p) for parts in zip(w, q, synthesis)]
 
 
@@ -425,7 +427,7 @@ class TestStackedAgainstOracle:
     @settings(max_examples=60, deadline=None)
     @given(laps=mixed_levels(), p=st.sampled_from([1, 2]))
     def test_level_bases_bit_identical(self, laps, p):
-        # One `eigenbasis_stack` per size, as `build_operators` solves a level.
+        # One stacked solve per size, as `build_operators` solves a level.
         for size in {len(lap) for lap in laps}:
             group = [lap for lap in laps if len(lap) == size]
             for lap, basis in zip(group, _stack_bases(group, p)):
@@ -508,7 +510,7 @@ class TestStackedAgainstOracle:
         message = re.escape(str(ref.value))
         good = laplacian(grid_graph(1, len(bad)))
         with pytest.raises(ValueError, match=message):
-            spectral.eigenbasis_stack(np.stack([good, bad, good]), p)
+            laplacian_eigh(np.stack([good, bad, good]), p)
         with pytest.raises(ValueError, match=message):
             local_eigenbasis(bad, p)
 
@@ -592,7 +594,7 @@ class TestNonFiniteInput:
             laplacian_eigh(lap, p)
         good = laplacian(grid_graph(1, len(lap)))
         with pytest.raises(ValueError, match="Laplacian must be finite"):
-            spectral.eigenbasis_stack(np.stack([good, lap]), p)
+            laplacian_eigh(np.stack([good, lap]), p)
 
     def test_dual_basis_rejected(self, bad):
         q = np.eye(3)
