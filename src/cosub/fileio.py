@@ -242,7 +242,7 @@ def write_manifest(data: dict, path) -> str:
 
 
 def read_manifest(path) -> dict:
-    data = json.loads(Path(path).read_text())
+    data = json.loads(_read_text(path))
     if not isinstance(data, dict) or data.get("format_version") != MANIFEST_VERSION:
         raise ValueError(f"{path}: unsupported manifest version")
     return data

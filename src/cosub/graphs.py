@@ -53,9 +53,8 @@ class WeightedGraph:
             raise ValueError("adjacency matrix must be square")
         if not np.all(np.isfinite(a.data)):
             raise ValueError("adjacency weights must be finite")
-        scale = max(1.0, abs(a.data).max()) if a.nnz else 1.0
         asym = abs(a - a.T)
-        if asym.nnz and asym.max() > 1e-12 * scale:
+        if asym.nnz and asym.max() > 1e-12 * abs(a.data).max():
             raise ValueError("adjacency matrix must be symmetric")
         if np.any(a.tocsr().diagonal() != 0.0):
             raise ValueError("self-loops are not allowed")

@@ -106,7 +106,12 @@ class _WorkingGraph:
 
     @classmethod
     def from_graph(cls, graph: WeightedGraph) -> "_WorkingGraph":
-        return cls(graph.adjacency, np.zeros(graph.n), np.arange(graph.n))
+        """The graph with every weight scaled by the power of two that puts
+        the largest in [1, 2): exact, 1 for unit weights, and every gain
+        scales with it, so the moves do not depend on the weights' unit."""
+        adj = graph.adjacency
+        adj.data = np.ldexp(adj.data, 1 - np.frexp(adj.data.max())[1])
+        return cls(adj, np.zeros(graph.n), np.arange(graph.n))
 
 
 def _local_moves(work: _WorkingGraph, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
@@ -184,47 +189,41 @@ def _split_disconnected(work: _WorkingGraph, comm: np.ndarray) -> np.ndarray:
 
 
 def _aggregate(work: _WorkingGraph, comm: np.ndarray) -> _WorkingGraph:
-    ids = np.unique(comm)
-    remap = np.zeros(comm.max() + 1, dtype=np.int64)
-    remap[ids] = np.arange(len(ids))
-    c = remap[comm]
-    k = len(ids)
-    inc = sp.csr_matrix((np.ones(work.n), (np.arange(work.n), c)), shape=(work.n, k))
+    """One working node per community; `comm` numbers them 0..k-1, as
+    `_split_disconnected` does."""
+    k = int(comm.max()) + 1
+    inc = sp.csr_matrix((np.ones(work.n), (np.arange(work.n), comm)), shape=(work.n, k))
     merged = (inc.T @ work.adj @ inc).tocsr()
     # The triple product's diagonal is the doubled internal weight of each
     # merged group; it moves into the loop array.
-    loops = np.bincount(c, weights=work.loops, minlength=k) + merged.diagonal()
+    loops = np.bincount(comm, weights=work.loops, minlength=k) + merged.diagonal()
     merged.setdiag(0.0)
     merged.eliminate_zeros()
-    return _WorkingGraph(merged, loops, c[work.member])
+    return _WorkingGraph(merged, loops, comm[work.member])
 
 
 def louvain(graph: WeightedGraph, config: PartitionConfig) -> SubgraphPartition:
     """Greedy modularity partition into connected communities.
 
-    "sc" performs one queue-driven local-move phase on the original graph.
-    "lc" repeats local moves and aggregation until no move is accepted, or
-    stops (restoring the previous state) as soon as a round would grow some
-    community beyond `config.tau` original nodes.  Communities left
-    disconnected by the moves are split into their components.  Identical
-    (graph, config) inputs give identical partitions.
+    Each round runs one queue-driven local-move phase and splits the
+    communities it left disconnected into their components.  "sc" stops
+    after the first round, on the original graph.  "lc" aggregates and
+    repeats until no move is accepted, or stops (restoring the previous
+    state) as soon as a round would grow some community beyond `config.tau`
+    original nodes.  Identical (graph, config) inputs give identical
+    partitions.
     """
     if graph.num_edges == 0:
         raise ValueError("partition detection needs at least one edge")
     rng = np.random.default_rng(config.seed)
-    work = _WorkingGraph.from_graph(graph)
-
-    if config.variant == "sc":
-        comm, _ = _local_moves(work, rng)
-        comm = _split_disconnected(work, comm)
-        return SubgraphPartition.compact(comm)
-
-    current = work
+    current = _WorkingGraph.from_graph(graph)
     while True:
         comm, improved = _local_moves(current, rng)
         if not improved:
             return SubgraphPartition.compact(current.member)
         comm = _split_disconnected(current, comm)
+        if config.variant == "sc":
+            return SubgraphPartition.compact(comm)
         merged = _aggregate(current, comm)
         if np.bincount(merged.member).max() > config.tau:
             return SubgraphPartition.compact(current.member)

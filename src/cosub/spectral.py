@@ -82,7 +82,9 @@ def _canonical_columns(vecs: np.ndarray, p: int) -> np.ndarray:
 
 
 def canonicalize_degenerate(eigenspace: np.ndarray, p: int) -> np.ndarray:
-    """Deterministic basis of a degenerate eigenspace, given as n x m, m <= n.
+    """Deterministic basis of a degenerate eigenspace, given as n x m, m <= n,
+    or of a (k, n, m) stack of them, each bit-identical to canonicalizing it
+    alone and stacked like the input (an (n,) vector is taken as n x 1).
 
     Vector i (1-based) of an m-dimensional eigenspace gets its last (m - i)
     coefficients forced to exactly zero and must be orthogonal to the i-1
@@ -101,18 +103,41 @@ def canonicalize_degenerate(eigenspace: np.ndarray, p: int) -> np.ndarray:
     to U[:, m-i+1:], the vectors produced before it: vector i is
     B @ U[:, m-i].  Its forced zeros are the nominal m-i, moved into the run
     of trailing rows that its m-i kept rows span.  A multiplet is generic when
-    the kept rows are its last m-1 rows, and one QR serves a stack of those.
-    The result does not depend on the frame the eigenspace is given in.
+    the kept rows are its last m-1 rows, and one stacked QR pair serves every
+    generic eigenspace of a stack; each other one takes one QR of its own kept
+    rows.  The result does not depend on the frame the eigenspace is given in.
     """
     e = np.asarray(eigenspace, dtype=np.float64)
     if e.ndim == 1:
         e = e[:, None]
-    n, m = e.shape
+    if e.ndim not in (2, 3):
+        raise ValueError("eigenspace must be a vector, a matrix or a stack of matrices")
+    single = e.ndim == 2
+    if single:
+        e = e[None]
+    _, n, m = e.shape
     if m > n:
-        raise ValueError(f"eigenspace of shape {e.shape} has more columns than rows")
+        raise ValueError(f"eigenspace of shape {e.shape[single:]} has more columns than rows")
     if not np.isfinite(e).all():
         raise ValueError("eigenspace must be finite")
-    return _canonicalize_multiplets(e[None], p)[0]
+    basis, _ = np.linalg.qr(e)
+    u, r = np.linalg.qr(basis[:, :n - m:-1].transpose(0, 2, 1), mode="complete")
+    generic = ~np.any(np.abs(np.diagonal(r, axis1=-2, axis2=-1)) < GENERIC_RANK_TOL, axis=-1)
+    out = basis @ u[..., ::-1]
+    # Column i-1 keeps its trailing m-i entries at exactly zero.
+    out[:, n - m + 1:] = np.triu(out[:, n - m + 1:], 1)
+    for i in np.flatnonzero(~generic):
+        rows = _independent_rows(basis[i])
+        u_i, _ = np.linalg.qr(basis[i, rows[:-1]].T, mode="complete")
+        out[i] = basis[i] @ u_i[:, ::-1]
+        # Column m-1-t has t nominal zeros, moved into the run of trailing
+        # row counts that the first t kept rows span: from n - rows[t-1]
+        # (0 for t = 0) to n - 1 - rows[t].
+        bounds = np.concatenate(([n], rows))
+        zeros = np.clip(np.arange(m), n - bounds[:-1], n - 1 - bounds[1:])[::-1]
+        out[i][np.arange(n)[:, None] >= n - zeros] = 0.0
+    out = _canonical_columns(out, p)
+    return out[0] if single else out
 
 
 def _independent_rows(basis: np.ndarray) -> np.ndarray:
@@ -134,30 +159,6 @@ def _independent_rows(basis: np.ndarray) -> np.ndarray:
     return np.array(kept)
 
 
-def _canonicalize_multiplets(eigenspaces: np.ndarray, p: int) -> np.ndarray:
-    """`canonicalize_degenerate` for a (k, n, m) stack of eigenspaces: one
-    stacked QR pair for the generic ones, and one QR of its independent
-    trailing rows for each other."""
-    _, n, m = eigenspaces.shape
-    basis, _ = np.linalg.qr(eigenspaces)
-    u, r = np.linalg.qr(basis[:, :n - m:-1].transpose(0, 2, 1), mode="complete")
-    generic = ~np.any(np.abs(np.diagonal(r, axis1=-2, axis2=-1)) < GENERIC_RANK_TOL, axis=-1)
-    out = basis @ u[..., ::-1]
-    # Column i-1 keeps its trailing m-i entries at exactly zero.
-    out[:, n - m + 1:] = np.triu(out[:, n - m + 1:], 1)
-    for i in np.flatnonzero(~generic):
-        rows = _independent_rows(basis[i])
-        u_i, _ = np.linalg.qr(basis[i, rows[:-1]].T, mode="complete")
-        out[i] = basis[i] @ u_i[:, ::-1]
-        # Column m-1-t has t nominal zeros, moved into the run of trailing
-        # row counts that the first t kept rows span: from n - rows[t-1]
-        # (0 for t = 0) to n - 1 - rows[t].
-        bounds = np.concatenate(([n], rows))
-        zeros = np.clip(np.arange(m), n - bounds[:-1], n - 1 - bounds[1:])[::-1]
-        out[i][np.arange(n)[:, None] >= n - zeros] = 0.0
-    return _canonical_columns(out, p)
-
-
 def laplacian_eigh(lap: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical eigendecomposition of a symmetric Laplacian matrix, or of a
     (k, n, n) stack of them, each block bit-identical to decomposing it alone.
@@ -166,7 +167,7 @@ def laplacian_eigh(lap: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     Lp-normalized, sign-canonical eigenvector matrix, stacked like the input.
     Requires the zero eigenvalue to be simple, i.e. the underlying graph must
     be connected.  A stack takes one eigensolve, vectorized multiplet grouping
-    and one `_canonicalize_multiplets` call per multiplet size.
+    and one `canonicalize_degenerate` call per multiplet size.
     """
     laps = np.asarray(lap, dtype=np.float64)
     if laps.ndim not in (2, 3) or laps.shape[-1] != laps.shape[-2]:
@@ -179,19 +180,18 @@ def laplacian_eigh(lap: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("Laplacian must be finite")
     transposed = laps.transpose(0, 2, 1)
     if not np.array_equal(laps, transposed):
-        scale = np.maximum(1.0, np.abs(laps).max(axis=(1, 2)))
+        scale = np.abs(laps).max(axis=(1, 2))
         if np.any(np.abs(laps - transposed).max(axis=(1, 2)) > 1e-10 * scale):
             raise ValueError("Laplacian must be symmetric")
     w, v = np.linalg.eigh(laps)
-    tol = EIGENVALUE_GROUP_RTOL * np.maximum(1.0, np.abs(w).max(axis=1))
+    tol = EIGENVALUE_GROUP_RTOL * np.abs(w).max(axis=1)
     if np.any(np.abs(w[:, 0]) > tol):
         raise ValueError("Laplacian has no zero eigenvalue; not a valid Laplacian")
     # starts[b, i]: eigenvalue i of block b opens a multiplet.
     starts = np.ones((k, n), dtype=bool)
     starts[:, 1:] = np.diff(w, axis=1) > tol[:, None]
     if n > 1 and not starts[:, 1].all():
-        raise ValueError("zero eigenvalue has multiplicity > 1; subgraph is disconnected, or its "
-                         "weights are too small (tolerance 1e-8 * max(1, largest eigenvalue))")
+        raise ValueError("zero eigenvalue has multiplicity > 1; subgraph is disconnected")
     w[:, 0] = 0.0
 
     q = np.empty((k, n, n))
@@ -207,7 +207,7 @@ def laplacian_eigh(lap: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     for m in np.unique(size[size > 1]):
         b, c = block[size == m], col[size == m]
         cells = (b[:, None, None], np.arange(n)[:, None], (c[:, None] + np.arange(m))[:, None])
-        q[cells] = _canonicalize_multiplets(v[cells], p)
+        q[cells] = canonicalize_degenerate(v[cells], p)
     return (w[0], q[0]) if single else (w, q)
 
 

@@ -2,6 +2,7 @@
 trips."""
 
 import errno
+import json
 import os
 import tracemalloc
 import warnings
@@ -328,11 +329,14 @@ def test_readers_decode_utf8_whatever_the_locale(tmp_path, monkeypatch):
     (tmp_path / "g.tsv").write_bytes((comment + "0\t1\t2.5\n").encode())
     (tmp_path / "x.csv").write_bytes((comment + "1.5\n-2\n").encode())
     (tmp_path / "p.csv").write_bytes((comment + "1\n2\n").encode())
+    manifest = {"format_version": fileio.MANIFEST_VERSION, "command": ["café"]}
+    (tmp_path / "m.json").write_bytes(json.dumps(manifest, ensure_ascii=False).encode())
     monkeypatch.setattr(io, "text_encoding", lambda encoding, stacklevel=2: encoding or "ascii")
     graph = fileio.read_edge_list(tmp_path / "g.tsv")
     assert graph.n == 2 and graph.edge_arrays()[2].tolist() == [2.5]
     assert fileio.read_signal(tmp_path / "x.csv").tolist() == [1.5, -2.0]
     assert fileio.read_partition(tmp_path / "p.csv").sizes.tolist() == [1, 1]
+    assert fileio.read_manifest(tmp_path / "m.json") == manifest
 
 
 class TestEdgeListWriter:

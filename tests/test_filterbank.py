@@ -1,8 +1,8 @@
 """Level operators, analysis/synthesis round trips, the cascade and atoms."""
 
 import itertools
-import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -228,22 +228,28 @@ class TestConnectivityByEigensolve:
             build_operators(toy_graph, SubgraphPartition.from_labels([1, 1, 2, 2, 1]), p=1)
         assert calls == []
 
-    def test_tiny_weights_name_the_tolerance(self):
-        # Connected blocks whose second eigenvalue falls under the absolute
-        # 1e-8 floor of the multiplet tolerance.
+    def test_tiny_weights_build_and_a_split_block_still_raises(self):
+        # Connected blocks whose second eigenvalue is far under 1e-8: the
+        # multiplet tolerance is relative to each block's largest eigenvalue.
         path = WeightedGraph.from_edges(5, [(i, i + 1, 1e-8) for i in range(4)])
-        part = SubgraphPartition.from_labels([1, 1, 1, 2, 2])
-        assert partition_is_connected(path, part)
-        message = ("zero eigenvalue has multiplicity > 1; subgraph is disconnected, or its "
-                   "weights are too small (tolerance 1e-8 * max(1, largest eigenvalue))")
-        with pytest.raises(ValueError, match=re.escape(message)):
-            build_operators(path, part, p=1)
         sbm = sbm_graph([10] * 5, 0.8, 0.05, 1)
         u, v, w = sbm.edge_arrays()
         tiny = WeightedGraph.from_edges(sbm.n, zip(u.tolist(), v.tolist(), (w * 1e-9).tolist()))
-        assert partition_is_connected(tiny, louvain(tiny, PartitionConfig("sc", seed=0)))
-        with pytest.raises(ValueError, match="weights are too small"):
-            analyze_cascade(tiny, np.ones(tiny.n), PartitionConfig("sc", seed=0))
+        cases = [(path, [SubgraphPartition.from_labels([1, 1, 1, 2, 2])]),
+                 (tiny, PartitionConfig("sc", seed=0))]
+        split = SubgraphPartition.from_labels([1, 1, 2, 2, 1])
+        assert not partition_is_connected(path, split)
+        for p in (1, 2):
+            for graph, partitions in cases:
+                x = np.random.default_rng(0).normal(size=graph.n)
+                pyramid = analyze_cascade(graph, x, partitions, p=p, max_levels=1)
+                assert pyramid.num_levels == 1
+                assert partition_is_connected(graph, pyramid.levels[0].partition)
+                error = np.abs(synthesize_cascade(pyramid) - x).max()
+                assert error <= 1e-10 * np.abs(x).max()
+            with pytest.raises(ValueError, match="^zero eigenvalue has multiplicity > 1; "
+                                                 "subgraph is disconnected$"):
+                build_operators(path, split, p)
 
 
 class TestBlockSizeBound:
@@ -769,17 +775,17 @@ def louvain_lc5(graph, signal):
     return louvain(graph, PartitionConfig("lc", tau=5, seed=7))
 
 
+WEIGHTED_CONFIGS = [PartitionConfig("sc", seed=3), PartitionConfig("lc", tau=8, seed=3),
+                    PartitionConfig("sc", seed=3, edge_aware=True), louvain_lc5]
+
+
 class TestInvariantsOnWeightedGraphs:
     """The paper's invariants as properties of detected cascades on weighted
     graphs, rather than as equality with an oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(graph=weighted_graphs(), p=st.sampled_from([1, 2]),
-           config=st.sampled_from([PartitionConfig("sc", seed=3),
-                                   PartitionConfig("lc", tau=8, seed=3),
-                                   PartitionConfig("sc", seed=3, edge_aware=True),
-                                   louvain_lc5]),
-           seed=st.integers(0, 2**32 - 1))
+           config=st.sampled_from(WEIGHTED_CONFIGS), seed=st.integers(0, 2**32 - 1))
     def test_cascade_invariants(self, graph, p, config, seed):
         x = np.random.default_rng(seed).normal(size=graph.n)
         pyramid = analyze_cascade(graph, x, config, p=p, max_levels=3)
@@ -813,6 +819,37 @@ class TestInvariantsOnWeightedGraphs:
         for a, b in zip(again.levels, pyramid.levels):
             assert [c.tobytes() for c in a.channels] == [c.tobytes() for c in b.channels]
         assert again.final_approximation.tobytes() == pyramid.final_approximation.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=weighted_graphs(), p=st.sampled_from([1, 2]),
+           config=st.sampled_from(WEIGHTED_CONFIGS), near=st.integers(-60, 60),
+           far=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1))
+    def test_weight_unit_changes_nothing(self, graph, p, config, near, far, seed):
+        """Weights scaled by 2**k: for |k| <= 60 the same bytes; for |k| up
+        to 1000 the same partitions and a perfect reconstruction, and
+        nowhere an error or a warning."""
+        x = np.random.default_rng(seed).normal(size=graph.n)
+        u, v, w = graph.edge_arrays()
+
+        def cascade(k):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pyramid = analyze_cascade(WeightedGraph(graph.n, u, v, np.ldexp(w, k)), x,
+                                          config, p=p, max_levels=3)
+                return pyramid, synthesize_cascade(pyramid)
+
+        def partitions(pyramid):
+            return [level.partition.labels.tobytes() for level in pyramid.levels]
+
+        def channels(pyramid):
+            return [[c.tobytes() for c in level.channels] for level in pyramid.levels]
+
+        (unit, _), (scaled, _), (distant, rebuilt) = cascade(0), cascade(near), cascade(far)
+        assert partitions(scaled) == partitions(unit)
+        assert channels(scaled) == channels(unit)
+        assert scaled.final_approximation.tobytes() == unit.final_approximation.tobytes()
+        assert partitions(distant) == partitions(unit)
+        assert np.abs(rebuilt - x).max() <= 1e-10 * np.abs(x).max()
 
 
 def grid_pyramid(side: int):

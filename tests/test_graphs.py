@@ -67,6 +67,15 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="symmetric"):
             WeightedGraph.from_adjacency(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])
+    def test_symmetry_test_is_relative(self, scale):
+        # The same matrices at every scale: a 1e-13 relative mismatch is
+        # symmetric, a factor of 3 is not.
+        near = WeightedGraph.from_adjacency(np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]]) * scale)
+        assert near.edge_arrays()[2].tolist() == [scale]
+        with pytest.raises(ValueError, match="symmetric"):
+            WeightedGraph.from_adjacency(np.array([[0.0, 1.0], [3.0, 0.0]]) * scale)
+
 
 def outcome(build, *args):
     """The arrays and dtypes of an accepted graph, or the text of the

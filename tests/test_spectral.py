@@ -447,8 +447,8 @@ class TestStackedAgainstOracle:
     @settings(max_examples=30, deadline=None)
     @given(laps=mixed_levels(), p=st.sampled_from([1, 2]))
     def test_public_entries_take_a_stack(self, laps, p):
-        """`laplacian_eigh` and `dual_basis` give each block of a stack its
-        own single-block result, bit for bit."""
+        """`laplacian_eigh`, `canonicalize_degenerate` and `dual_basis` give
+        each block of a stack its own single-block result, bit for bit."""
         for size in {len(lap) for lap in laps}:
             group = [lap for lap in laps if len(lap) == size]
             w, q = laplacian_eigh(np.stack(group), p)
@@ -457,6 +457,34 @@ class TestStackedAgainstOracle:
                 w_alone, q_alone = laplacian_eigh(lap, p)
                 alone = w_alone, q_alone, dual_basis(q_alone)
                 assert all(np.array_equal(s, a) for s, a in zip(stacked, alone))
+        # 6 x 4 eigenspaces: the leaf multiplet of a hub-last star and the
+        # eigenvalue-3 multiplet of K_{3,3} are not generic, a random 4-space is.
+        eigenspaces = [_multiplets(_star(5, 5))[0], _multiplets(_bipartite(3, 3))[0],
+                       _rotation(6)[:, :4]]
+        alone = [_scans_rows(canonicalize_degenerate, e, p) for e in eigenspaces]
+        assert [scanned for _, scanned in alone] == [True, True, False]
+        stacked = canonicalize_degenerate(np.stack(eigenspaces), p)
+        assert stacked.shape == (3, 6, 4)
+        assert all(np.array_equal(s, a) for s, (a, _) in zip(stacked, alone))
+
+    @pytest.mark.parametrize("lap", [laplacian(grid_graph(8, 8)), _star(120, 120)],
+                             ids=["8x8-tile", "hub-last-star"])
+    def test_laplacian_eigh_canonicalizes_once_per_multiplet_size(self, monkeypatch, lap):
+        calls = []
+        rule = spectral.canonicalize_degenerate
+        monkeypatch.setattr(spectral, "canonicalize_degenerate",
+                            lambda e, p: calls.append(e.shape) or rule(e, p))
+        for copies in (None, 2):
+            calls.clear()
+            w, _ = laplacian_eigh(lap if copies is None else np.stack([lap] * copies), 1)
+            groups = oracle._group_eigenvalues(np.atleast_2d(w)[0])
+            sizes = [stop - start for start, stop in groups]
+            counts = {m: (copies or 1) * sizes.count(m) for m in set(sizes) if m > 1}
+            assert len(calls) == len(counts) > 0
+            assert {m: k for k, _, m in calls} == counts
+
+    def test_one_multiplet_entry(self):
+        assert not hasattr(spectral, "_canonicalize_multiplets")
 
     def test_dual_basis_names_the_first_block_over_tolerance(self):
         hilbert = 1.0 / (np.arange(9)[:, None] + np.arange(9) + 1)
@@ -478,6 +506,11 @@ class TestStackedAgainstOracle:
             laplacian_eigh(np.zeros(shape), 1)
         with pytest.raises(ValueError, match="^Laplacian must be a square matrix$"):
             local_eigenbasis(np.zeros(shape), 1)
+
+    @pytest.mark.parametrize("shape", [(), (1, 2, 3, 3)])
+    def test_other_shapes_are_not_eigenspaces(self, shape):
+        with pytest.raises(ValueError, match="^eigenspace must be a vector, a matrix or a stack"):
+            canonicalize_degenerate(np.zeros(shape), 1)
 
     def test_local_eigenbasis_takes_one_block(self):
         with pytest.raises(ValueError, match="^Laplacian must be a square matrix$"):
