@@ -124,7 +124,7 @@ def _check_output(args) -> None:
     """Refuse, before any input is read, an output that `_write` would refuse
     after the work, with its message: an --outdir that exists and is not a
     directory, an --out that is a directory, and either one whose directory
-    cannot be reached or lies below a file."""
+    cannot be reached or lies below a file, and an empty --out."""
     if args.command == "metrics":
         return
     analyze = args.command == "analyze"
@@ -138,6 +138,8 @@ def _check_output(args) -> None:
         code = 0
     elif analyze and code and os.path.exists(path):  # not a directory: `mkdir` refuses it
         code = errno.EEXIST
+    elif not (analyze or path):  # the write opens "", which names no file
+        code = errno.ENOENT
     if code:
         what = ("output directory" if analyze
                 else args.command if args.command in ("partition", "atoms") else "signal")
@@ -398,24 +400,12 @@ def cmd_denoise(args) -> int:
 def cmd_atoms(args) -> int:
     _, pyramid = _run_cascade(args)
     atoms = compute_atoms(pyramid)
-    lines = ["level,channel,subgraph,node,value"]
-    for j, level in enumerate(pyramid.levels, start=1):
-        index_lists = level.operators.index_lists
-        blocks = [(1, atoms.approximation[j - 1])]
-        blocks += [(l, atoms.details[j - 1][l]) for l in sorted(atoms.details[j - 1])]
-        for l, mat in blocks:
-            # One row per structural entry of the atom (its support), nodes
-            # ascending.  Exact zeros inside the support are kept; adding 0.0
-            # writes a stored -0.0 as 0, as the dense table did.
-            mat = mat.sorted_indices()
-            for col, label in enumerate(index_lists[l - 1]):
-                span = slice(mat.indptr[col], mat.indptr[col + 1])
-                for node, value in zip(mat.indices[span], mat.data[span] + 0.0):
-                    lines.append(f"{j},{l},{label},{node},{fileio.FLOAT_FMT % value}")
-    _write("atoms", args.out, fileio._write_text, args.out, "\n".join(lines) + "\n")
-    total = atoms.total_detail_atoms
-    if atoms.approximation:
-        total += atoms.approximation[-1].shape[1]
+    blocks = ((j, l, level.operators.index_lists[l - 1], mat)
+              for j, (level, first, details) in enumerate(zip(
+                  pyramid.levels, atoms.approximation, atoms.details), start=1)
+              for l, mat in [(1, first), *sorted(details.items())])
+    _write("atoms", args.out, fileio.write_atoms, blocks, args.out)
+    total = atoms.total_detail_atoms + sum(m.shape[1] for m in atoms.approximation[-1:])
     print(f"atoms written: {total} (graph size {pyramid.n})")
     return EXIT_OK
 

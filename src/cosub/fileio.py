@@ -1,4 +1,4 @@
-"""Text formats: edge-list TSV, signal and partition files, run manifests."""
+"""Text formats: edge-list TSV, signal and partition files, atoms CSV, run manifests."""
 
 from __future__ import annotations
 
@@ -83,22 +83,38 @@ def _read_text(path, sha256: str | None = None) -> str:
     return data.decode()
 
 
+def _table(sep: str, prefix: str, int_columns, floats: np.ndarray) -> str:
+    """A line per row, each ending in a newline: `prefix`, then the integer
+    columns and the float64 column in `FLOAT_FMT`, joined by `sep`.  Each
+    integer and each float bit pattern (-0.0 is not 0.0) is formatted once,
+    into object arrays that are indexed and joined at C speed."""
+    distinct, which = np.unique(floats.view(np.int64), return_inverse=True)
+    ints, index = np.unique(np.concatenate(int_columns), return_inverse=True)
+    texts = np.array([*map(str, ints.tolist()),
+                      *map(FLOAT_FMT.__mod__, distinct.view(np.float64).tolist())], object)
+    int_texts = texts[index].reshape(len(int_columns), -1).tolist()
+    rows = f"\n{prefix}".join(map(sep.join, zip(*int_texts, texts[which + len(ints)].tolist())))
+    return f"{prefix}{rows}\n" if rows else ""
+
+
 def write_edge_list(graph: WeightedGraph, path) -> str:
     """TSV lines "u<TAB>v<TAB>w" with a leading "# nodes:" header so that
     trailing isolated nodes survive the round trip.  Returns the sha256 of
     the bytes written, as every writer here does."""
     u, v, w = graph.edge_arrays()
-    # Each distinct weight, and each node index that occurs, is formatted
-    # once, so the text tables grow with the edges and not with `graph.n`;
-    # object arrays of the texts are indexed at C speed.  Distinct bit
-    # patterns, not values, so that -0.0 and 0.0 keep their own text.
-    distinct, which = np.unique(w.view(np.int64), return_inverse=True)
-    nodes, index = np.unique(np.concatenate((u, v)), return_inverse=True)
-    weights = np.array(list(map(FLOAT_FMT.__mod__, distinct.view(np.float64).tolist())), object)
-    names = np.array(list(map(str, nodes.tolist())), object)
-    columns = names[index[:len(u)]], names[index[len(u):]], weights[which]
-    lines = map("\t".join, zip(*(column.tolist() for column in columns)))
-    return _write_text(path, "\n".join(chain([f"# nodes: {graph.n}"], lines)) + "\n")
+    return _write_text(path, f"# nodes: {graph.n}\n" + _table("\t", "", (u, v), w))
+
+
+def write_atoms(blocks, path) -> str:
+    """The atoms CSV: under a "level,channel,subgraph,node,value" header, a
+    row per stored entry of each `(level, channel, labels, csc)` block, by
+    column and nodes ascending (column k is subgraph `labels[k]`'s atom), a
+    stored -0.0 as 0.  The block texts are freed once joined, before encoding."""
+    blocks = ((f"{level},{channel},", labels, mat.sorted_indices())
+              for level, channel, labels, mat in blocks)
+    return _write_text(path, "".join(chain(["level,channel,subgraph,node,value\n"], (
+        _table(",", prefix, (np.repeat(labels, np.diff(mat.indptr)), mat.indices), mat.data + 0.0)
+        for prefix, labels, mat in blocks))))
 
 
 def read_edge_list(path, n: int | None = None, sha256: str | None = None) -> WeightedGraph:
@@ -229,12 +245,6 @@ def _values(convert, lines: list[str]) -> list:
         pass  # filtered below, so that an error there is raised on its own
     return [convert(line) for line in lines
             if line.strip() and not line.lstrip().startswith("#")]
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
 
 
 def write_manifest(data: dict, path) -> str:

@@ -107,11 +107,11 @@ class LevelOperators:
                 bases[self.partition.labels[first] - 1] = shared[row]
         return bases
 
-    @property
+    @cached_property
     def index_lists(self) -> list[np.ndarray]:
         """`index_lists[l-1]`: the subgraph labels of channel l, ascending."""
-        by_size = np.argsort(-self.partition.sizes, kind="stable")
-        return [np.sort(by_size[:count]) + 1 for count in self.channel_sizes]
+        sizes = self.partition.sizes
+        return [np.flatnonzero(sizes >= l) + 1 for l in range(1, self.n_channels + 1)]
 
     def _channel_parts(self, basis_field: str | None, channels):
         """Yield the CSC arrays `(data, indices, indptr)` of each channel l in

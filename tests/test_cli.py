@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atoms_csv_oracle
 from conftest import edge_tuples
 from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph, analyze_cascade,
-                   best_level_nla, edge_aware_adjacency, fileio, grid_graph, haar_partition,
-                   line_graph, louvain, nla_compress, sbm_graph, synthesize_cascade)
+                   best_level_nla, compute_atoms, edge_aware_adjacency, fileio, grid_graph,
+                   haar_partition, line_graph, louvain, nla_compress, sbm_graph,
+                   synthesize_cascade)
 from cosub.cli import build_parser, main
 from test_filterbank import weighted_graphs
 
@@ -858,6 +861,8 @@ class TestUnwritableOutput:
     """An output that cannot be written is a usage error (exit 2) that names
     the path."""
 
+    EMPTY_OUT = "[Errno 2] No such file or directory"  # what opening "" gives
+
     @pytest.mark.parametrize("command, extra, what", [
         ("analyze", ["--outdir", "{file}"], "output directory {file}"),
         ("compress", ["--keep-hp", "1", "--out", "{missing}/c.csv"], "signal {missing}/c.csv"),
@@ -887,9 +892,17 @@ class TestUnwritableOutput:
          "[Errno 20] Not a directory"),
         (["compress", "--keep-hp", "1", "--out", "{file}/c.csv"], "signal {file}/c.csv",
          "[Errno 20] Not a directory"),
+        (["compress", "--keep-hp", "1", "--out", ""], "signal ", EMPTY_OUT),
+        (["denoise", "--sigma", "0.1", "--out", ""], "signal ", EMPTY_OUT),
+        (["atoms", "--out", ""], "atoms ", EMPTY_OUT),
+        (["partition", "--method", "cosub", "--impl", "sc", "--out", ""], "partition ",
+         EMPTY_OUT),
+        (["synthesize", "--manifest", "{absent}", "--out", ""], "signal ", EMPTY_OUT),
     ], ids=["outdir-is-a-file", "out-in-a-missing-directory", "out-is-a-directory",
             "atoms-out-is-a-directory", "partition-out-is-a-directory",
-            "synthesize-out-is-a-directory", "outdir-below-a-file", "out-below-a-file"])
+            "synthesize-out-is-a-directory", "outdir-below-a-file", "out-below-a-file",
+            "compress-out-is-empty", "denoise-out-is-empty", "atoms-out-is-empty",
+            "partition-out-is-empty", "synthesize-out-is-empty"])
     def test_is_found_before_any_input_is_read(self, toy_files, capsys, argv, what, error):
         """The graph (or manifest) named does not exist: the error is the
         output's."""
@@ -1082,6 +1095,45 @@ class TestOtherCommands:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         block = [float(r[4]) for r in rows if r[0] == "2" and r[1] == "2"]
         assert np.allclose(block, [1 / 6, 1 / 6, 1 / 6, -1 / 4, -1 / 4], atol=1e-12)
+
+    def test_atoms_csv_is_the_oracles(self, tmp_path, capsys):
+        graph = sbm_graph([14, 10, 8, 6, 5, 3], 0.6, 0.05, 4)
+        fileio.write_edge_list(graph, tmp_path / "g.tsv")
+        out = tmp_path / "atoms.csv"
+        assert main(["atoms", "--graph", str(tmp_path / "g.tsv"), "--method", "cosub",
+                     "--impl", "sc", "--levels", "3", "--out", str(out)]) == 0
+        pyramid = analyze_cascade(graph, np.zeros(graph.n), PartitionConfig("sc"),
+                                  p=1, max_levels=3)
+        assert [level.operators.n_channels for level in pyramid.levels] == [13, 4, 2]
+        blocks = list(atoms_csv_oracle.pyramid_blocks(pyramid, compute_atoms(pyramid)))
+        assert out.read_bytes() == atoms_csv_oracle.atoms_csv_text(blocks).encode()
+
+    def test_atoms_csv_memory_on_a_96_grid_in_tiles(self, tmp_path, capsys):
+        """A 96 x 96 grid in 8 x 8, then 4 x 4 tiles: 732,672 rows, 25 MB of
+        text.  Each channel's rows are formatted on their own, so the peak
+        stays under 80 MB; formatting every row before joining any peaks
+        above 120 MB."""
+        def tiles(side, tile):
+            r, c = np.divmod(np.arange(side * side), side)
+            return SubgraphPartition.from_labels((r // tile) * (side // tile) + c // tile + 1)
+
+        fileio.write_edge_list(grid_graph(96, 96), tmp_path / "g.tsv")
+        fileio.write_partition(tiles(96, 8), tmp_path / "p1.txt")
+        fileio.write_partition(tiles(12, 4), tmp_path / "p2.txt")
+        out = tmp_path / "atoms.csv"
+        tracemalloc.start()
+        try:
+            code = main(["atoms", "--graph", str(tmp_path / "g.tsv"),
+                         "--partition", str(tmp_path / "p1.txt"),
+                         "--partition", str(tmp_path / "p2.txt"),
+                         "--levels", "2", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with out.open("rb") as f:
+            assert sum(1 for _ in f) == 1 + 732_672
+        assert peak < 80_000_000
 
     def test_metrics_identical_files_inf(self, toy_files, capsys):
         code = main(["metrics", "--reference", str(toy_files["signal"]),

@@ -9,9 +9,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import atoms_csv_oracle
 import fileio_oracle as oracle
 import writer_oracle
 from cosub import SubgraphPartition, WeightedGraph, fileio, sbm_graph
@@ -341,6 +343,9 @@ def test_readers_decode_utf8_whatever_the_locale(tmp_path, monkeypatch):
 
 class TestEdgeListWriter:
     @given(graph=writer_graphs())
+    @example(graph=WeightedGraph.from_edges(5, []))
+    @example(graph=WeightedGraph(4, np.array([0, 0, 1]), np.array([1, 3, 2]),
+                                 np.array([-0.0, 0.0, 5e-324])))  # raw: past the checks
     def test_bytes_and_sha256_match_the_oracle(self, scratch, graph):
         assert fileio.write_edge_list(graph, scratch) == writer_oracle.edge_list_sha256(graph)
         assert scratch.read_bytes() == writer_oracle.edge_list_text(graph).encode()
@@ -356,6 +361,75 @@ class TestEdgeListWriter:
             tracemalloc.stop()
         assert peak < 1_000_000
         assert path.read_text() == "# nodes: 1000000\n0\t999999\t1\n"
+
+
+# -- atoms CSV ----------------------------------------------------------------
+
+ATOM_VALUES = (st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0])
+               | st.floats(allow_nan=False, allow_infinity=False))
+
+
+def atoms_block(level, channel, labels, columns, n=8, dtype=np.int64):
+    """A block from its columns' `[(node, value), ...]` lists, as stored,
+    with `dtype` indices."""
+    indices = np.array([node for column in columns for node, _ in column], dtype)
+    data = np.array([value for column in columns for _, value in column], np.float64)
+    indptr = np.cumsum([0] + [len(column) for column in columns]).astype(dtype)
+    mat = sp.csc_matrix((data, indices, indptr), shape=(n, len(columns)))
+    mat.indices, mat.indptr = indices, indptr  # scipy may have narrowed them
+    return level, channel, np.asarray(labels), mat
+
+
+@st.composite
+def atom_blocks(draw):
+    """`(level, channel, labels, csc)` blocks as `write_atoms` takes them:
+    columns with no entries, in stored order ascending or not, int32 or int64
+    indices and labels, and -0.0, 0.0, subnormal and +-1e308 values."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 12)) * draw(st.sampled_from([1, 1000]))
+        columns = [draw(st.lists(st.integers(0, n - 1), unique=True, max_size=6))
+                   for _ in range(draw(st.integers(0, 5)))]
+        if draw(st.booleans()):
+            columns = [sorted(column) for column in columns]
+        labels = np.array(sorted(draw(st.lists(st.integers(1, 10**6), unique=True,
+                                               min_size=len(columns), max_size=len(columns)))),
+                          draw(st.sampled_from([np.int32, np.int64])))
+        blocks.append(atoms_block(draw(st.integers(1, 20)), draw(st.integers(1, 200)), labels,
+                                  [[(node, draw(ATOM_VALUES)) for node in column]
+                                   for column in columns],
+                                  n, draw(st.sampled_from([np.int32, np.int64]))))
+    return blocks
+
+
+class TestAtomsWriter:
+    @given(blocks=atom_blocks())
+    def test_bytes_and_sha256_match_the_oracle(self, scratch, blocks):
+        assert fileio.write_atoms(blocks, scratch) == atoms_csv_oracle.atoms_csv_sha256(blocks)
+        assert scratch.read_bytes() == atoms_csv_oracle.atoms_csv_text(blocks).encode()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_special_values_and_unsorted_nodes(self, tmp_path, dtype):
+        blocks = [atoms_block(1, 2, [3, 9], [[(5, -0.0), (2, 0.0)], [(7, 5e-324), (0, -1e308)]],
+                              dtype=dtype),
+                  atoms_block(2, 1, [1], [[(4, 1e308)]], dtype=dtype)]
+        path = tmp_path / "atoms.csv"
+        fileio.write_atoms(blocks, path)
+        assert path.read_text() == ("level,channel,subgraph,node,value\n"
+                                    "1,2,3,2,0\n1,2,3,5,0\n"
+                                    "1,2,9,0,-1e+308\n"
+                                    "1,2,9,7,4.9406564584124654e-324\n"
+                                    "2,1,1,4,1e+308\n")
+        assert path.read_text() == atoms_csv_oracle.atoms_csv_text(blocks)
+
+    def test_a_block_without_rows_writes_no_line(self, tmp_path):
+        path = tmp_path / "atoms.csv"
+        empty = [atoms_block(1, 1, [], []), atoms_block(1, 2, [4, 6], [[], []])]
+        fileio.write_atoms(empty, path)
+        assert path.read_text() == "level,channel,subgraph,node,value\n"
+        fileio.write_atoms([atoms_block(1, 1, [2], [[(0, 0.5)]]), *empty,
+                            atoms_block(2, 1, [1], [[(3, 2.0)]])], path)
+        assert path.read_text() == "level,channel,subgraph,node,value\n1,1,2,0,0.5\n2,1,1,3,2\n"
 
 
 class TestWriteInPlace:
