@@ -124,7 +124,8 @@ def _check_output(args) -> None:
     """Refuse, before any input is read, an output that `_write` would refuse
     after the work, with its message: an --outdir that exists and is not a
     directory, an --out that is a directory, and either one whose directory
-    cannot be reached or lies below a file, and an empty --out."""
+    cannot be reached or lies below a file; and an empty one, since "" names
+    no file (though `Path("")` is the working directory)."""
     if args.command == "metrics":
         return
     analyze = args.command == "analyze"
@@ -134,12 +135,12 @@ def _check_output(args) -> None:
         code = errno.EISDIR if not analyze and os.path.isdir(path) else 0
     except OSError as exc:
         code = exc.errno
-    if analyze and code == errno.ENOENT:  # `mkdir` makes it and its missing parents
+    if not path:
+        code = errno.ENOENT
+    elif analyze and code == errno.ENOENT:  # `mkdir` makes it and its missing parents
         code = 0
     elif analyze and code and os.path.exists(path):  # not a directory: `mkdir` refuses it
         code = errno.EEXIST
-    elif not (analyze or path):  # the write opens "", which names no file
-        code = errno.ENOENT
     if code:
         what = ("output directory" if analyze
                 else args.command if args.command in ("partition", "atoms") else "signal")

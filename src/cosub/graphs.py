@@ -229,26 +229,21 @@ def split_adjacency(graph: WeightedGraph,
     return a_int, a_ext
 
 
-def _one_sided(graph: WeightedGraph) -> sp.csr_matrix:
-    """Each edge once, in row u < v; `csgraph` with directed=False reads it as
-    the symmetric adjacency.  The edges are sorted by u, so they already are
-    the CSR rows."""
-    u, v, w = graph.edge_arrays()
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=graph.n))])
-    return sp.csr_matrix((w, v, indptr), shape=(graph.n, graph.n))
+def _components(adjacency: sp.spmatrix) -> SubgraphPartition:
+    """Components of a symmetric sparse adjacency, numbered by smallest node."""
+    _, raw = csgraph.connected_components(adjacency, directed=False)
+    return SubgraphPartition.compact(raw)
 
 
 def connected_components(graph: WeightedGraph) -> SubgraphPartition:
     """Component labelling, numbered by ascending smallest node index."""
-    _, raw = csgraph.connected_components(_one_sided(graph), directed=False)
-    return SubgraphPartition.compact(raw)
+    return _components(graph.adjacency)
 
 
 def partition_is_connected(graph: WeightedGraph, partition: SubgraphPartition) -> bool:
     """True when every label class induces a connected subgraph."""
     a_int, _ = split_adjacency(graph, partition)
-    return csgraph.connected_components(_one_sided(a_int), directed=False,
-                                        return_labels=False) == partition.n_subgraphs
+    return _components(a_int.adjacency).n_subgraphs == partition.n_subgraphs
 
 
 def coarsen(graph: WeightedGraph, partition: SubgraphPartition) -> WeightedGraph:

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
-from .graphs import SubgraphPartition, WeightedGraph, as_signal
+from .graphs import SubgraphPartition, WeightedGraph, _components, as_signal
 
 # Minimum modularity gain for a node move to be accepted; guards against
 # floating-point drift cycles without rejecting any meaningful move.
@@ -184,8 +183,7 @@ def _split_disconnected(work: _WorkingGraph, comm: np.ndarray) -> np.ndarray:
     kept_before = np.concatenate([[0], np.cumsum(keep)])
     intra = sp.csr_matrix((np.ones(kept_before[-1]), adj.indices[keep],
                            kept_before[adj.indptr]), shape=adj.shape)
-    _, raw = csgraph.connected_components(intra, directed=False)
-    return SubgraphPartition.compact(raw).labels - 1
+    return _components(intra).labels - 1
 
 
 def _aggregate(work: _WorkingGraph, comm: np.ndarray) -> _WorkingGraph:

@@ -71,10 +71,20 @@ def test_missing_metric_is_not_reported():
 
 def test_single_pair_uses_its_values():
     out = row(TIME, [2.0], [1.0])
-    assert out["parent"] == (2.0, 2.0, 2.0) and out["wins"] == 1 and out["gain"]
+    assert out["parent"] == (2.0, 2.0, 2.0) and out["wins"] == 1 and not out["gain"]
     line = ab_pairs.format_rows([out])[0]
     assert line.startswith("analyze_s [s]: parent 2 [2, 2] -> change 1 [1, 1] (-50.0%)")
-    assert line.endswith("change won 1/1, gain rule holds")
+    assert line.endswith("change won 1/1, gain rule not applied (fewer than 10 pairs)")
+
+
+def test_nine_clear_wins_are_not_a_gain():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01]
+    out = row(TIME, parent, [v * 0.6 for v in parent])
+    assert out["wins"] == 9 and out["pairs"] == 9 and not out["gain"]
+    assert ab_pairs.format_rows([out])[0].endswith(
+        "change won 9/9, gain rule not applied (fewer than 10 pairs)")
+    ten = row(TIME, parent + [1.0], [v * 0.6 for v in parent + [1.0]])
+    assert ten["gain"] and ab_pairs.format_rows([ten])[0].endswith("gain rule holds")
 
 
 # -- the --out file, with stub runs in place of perfbench/run.py --------------

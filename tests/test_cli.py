@@ -898,11 +898,12 @@ class TestUnwritableOutput:
         (["partition", "--method", "cosub", "--impl", "sc", "--out", ""], "partition ",
          EMPTY_OUT),
         (["synthesize", "--manifest", "{absent}", "--out", ""], "signal ", EMPTY_OUT),
+        (["analyze", "--outdir", ""], "output directory ", EMPTY_OUT),
     ], ids=["outdir-is-a-file", "out-in-a-missing-directory", "out-is-a-directory",
             "atoms-out-is-a-directory", "partition-out-is-a-directory",
             "synthesize-out-is-a-directory", "outdir-below-a-file", "out-below-a-file",
             "compress-out-is-empty", "denoise-out-is-empty", "atoms-out-is-empty",
-            "partition-out-is-empty", "synthesize-out-is-empty"])
+            "partition-out-is-empty", "synthesize-out-is-empty", "analyze-outdir-is-empty"])
     def test_is_found_before_any_input_is_read(self, toy_files, capsys, argv, what, error):
         """The graph (or manifest) named does not exist: the error is the
         output's."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import components_oracle
 import graphs_oracle as oracle
 from conftest import brute_coarsen, edge_tuples, graphs_equal, random_connected_partition
 from cosub import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
@@ -378,6 +379,32 @@ class TestConnectedComponents:
             # identical up to renaming; compact order makes them equal
             assert np.array_equal(comp.labels, part.labels)
             assert partition_is_connected(g, part)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30))
+    def test_matches_a_breadth_first_search(self, data, n):
+        """Any graph (isolated nodes, any positive weights) and any labelling:
+        the components are the oracle's, numbered by smallest node, and the
+        labelling is connected exactly when each class searched alone is.
+        Half the labellings are the components of some of the edges, which
+        are connected."""
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                    max_size=2 * n) if pairs else st.just([]))
+        weights = data.draw(st.lists(st.floats(1e-300, 1e300), min_size=len(chosen),
+                                     max_size=len(chosen)))
+        edges = [(u, v, w) for (u, v), w in zip(chosen, weights)]
+        graph = WeightedGraph.from_edges(n, edges)
+        assert connected_components(graph).labels.tolist() == \
+            components_oracle.component_labels(n, edges)
+        if data.draw(st.booleans()):
+            raw = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+        else:
+            some = [e for e in edges if data.draw(st.booleans())]
+            raw = components_oracle.component_labels(n, some)
+        part = SubgraphPartition.compact(raw)
+        assert partition_is_connected(graph, part) == \
+            components_oracle.classes_connected(n, edges, part.labels.tolist())
 
 
 class TestCoarsen:

@@ -13,7 +13,9 @@ For every end-to-end metric of that file it prints each side's median and
 quartiles, the relative change of the medians, the fraction of pairs the
 change won (ties count for neither), and whether a gain may be claimed: the
 change wins at least nine tenths of the pairs and its median is better than
-the parent's by more than the parent's interquartile range.  It also reports
+the parent's by more than the parent's interquartile range.  Below 10 pairs
+the rule is not applied and no gain is claimed: a few pairs on a shared
+machine can meet it on unchanged code.  It also reports
 every pair whose output digests differ (`digest_diff.differences`).  Exits 0
 when every pair's digests are equal, 1 when one pair's are not.
 
@@ -41,8 +43,10 @@ from pathlib import Path
 
 from digest_diff import differences
 
-# A gain is claimed only when the change wins at least this share of pairs.
+# A gain is claimed only when the change wins at least this share of pairs,
+# of at least this many.
 WIN_SHARE = 0.9
+MIN_PAIRS = 10
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -73,7 +77,8 @@ def summary(metrics: list[dict], parent: list[dict], change: list[dict]) -> list
         better_by = pa[1] - pb[1] if lower else pb[1] - pa[1]
         row.update(parent=pa, change=pb, wins=wins,
                    relative=pb[1] / pa[1] - 1.0 if pa[1] else None,
-                   gain=wins >= WIN_SHARE * len(a) and better_by > pa[2] - pa[0])
+                   gain=(len(a) >= MIN_PAIRS and wins >= WIN_SHARE * len(a)
+                         and better_by > pa[2] - pa[0]))
         rows.append(row)
     return rows
 
@@ -86,10 +91,11 @@ def format_rows(rows: list[dict]) -> list[str]:
             continue
         (p1, p2, p3), (c1, c2, c3) = row["parent"], row["change"]
         relative = "" if row["relative"] is None else f" ({row['relative']:+.1%})"
+        rule = (f"not applied (fewer than {MIN_PAIRS} pairs)" if row["pairs"] < MIN_PAIRS
+                else "holds" if row["gain"] else "does not hold")
         lines.append(f"{row['metric']} [{row['unit']}]: parent {p2:.6g} [{p1:.6g}, {p3:.6g}]"
                      f" -> change {c2:.6g} [{c1:.6g}, {c3:.6g}]{relative},"
-                     f" change won {row['wins']}/{row['pairs']},"
-                     f" gain rule {'holds' if row['gain'] else 'does not hold'}")
+                     f" change won {row['wins']}/{row['pairs']}, gain rule {rule}")
     return lines
 
 
