@@ -13,7 +13,7 @@ from .graphs import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
 from .partition import (PartitionConfig, edge_aware_adjacency, haar_partition,
                         louvain, modularity)
 from .spectral import (LocalEigenBasis, canonicalize_degenerate, dual_basis,
-                       laplacian_eigh, local_eigenbasis, lp_normalize)
+                       laplacian_eigh, local_eigenbasis)
 
 __version__ = "0.1.0"
 
@@ -25,8 +25,7 @@ __all__ = [
     "compression_ratio", "compute_atoms", "connected_components", "denoise",
     "dual_basis", "edge_aware_adjacency", "global_eigenbasis", "grid_graph",
     "haar_partition", "laplacian", "laplacian_eigh", "line_graph",
-    "local_eigenbasis", "louvain", "lp_normalize", "modularity",
-    "nla_compress", "partition_is_connected", "psnr", "sbm_graph",
-    "smooth_test_signal", "snr", "split_adjacency", "synthesize_cascade",
-    "synthesize_level",
+    "local_eigenbasis", "louvain", "modularity", "nla_compress",
+    "partition_is_connected", "psnr", "sbm_graph", "smooth_test_signal", "snr",
+    "split_adjacency", "synthesize_cascade", "synthesize_level",
 ]

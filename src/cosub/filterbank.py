@@ -52,9 +52,8 @@ class LevelOperators:
     The subgraphs are stored by size, one `SizeClass` per size, largest
     first, so analysis and synthesis take one stacked product per class.
     Subgraphs with byte-identical Laplacians (equal local edges, see
-    `build_operators`) share one basis row.  `node_lists` and `bases` are
-    per-subgraph views for reading, built from the partition and the classes
-    on first read.
+    `build_operators`) share one basis row.  `bases` is a per-subgraph view
+    for reading, built from the classes on first read.
 
     Channel l collects the l-th local mode of every subgraph with at least l
     nodes, in ascending label order.  Concatenating the blocks' local
@@ -90,18 +89,13 @@ class LevelOperators:
         return np.diff(self.offsets).tolist()
 
     @cached_property
-    def node_lists(self) -> list[np.ndarray]:
-        """`node_lists[k]`: the nodes of subgraph k+1, ascending."""
-        return self.partition.node_lists()
-
-    @cached_property
     def bases(self) -> list[LocalEigenBasis]:
         """`bases[k]`: the `LocalEigenBasis` of subgraph k+1, views of its
         class's stacks.  One object per distinct basis row, which every
         subgraph of that row shares."""
         bases = [None] * self.partition.n_subgraphs
         for c in self.classes:
-            shared = [LocalEigenBasis(*parts, p=c.p)
+            shared = [LocalEigenBasis(*parts)
                       for parts in zip(c.eigenvalues, c.analysis, c.synthesis)]
             for first, row in zip(c.nodes[:, 0].tolist(), c.rows.tolist()):
                 bases[self.partition.labels[first] - 1] = shared[row]
@@ -405,6 +399,8 @@ def analyze_cascade(graph: WeightedGraph, signal, partitions, p: int = 1,
     the supply of fixed partitions is exhausted, or when detection returns
     only singletons (no coarsening progress).
     """
+    if p not in (1, 2):
+        raise ValueError("normalization exponent must be 1 or 2")
     if max_levels is not None and max_levels < 1:
         raise ValueError("max_levels must be at least 1")
     x = as_signal(signal, graph.n)

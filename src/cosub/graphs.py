@@ -153,6 +153,21 @@ def _node_indices(values) -> np.ndarray:
         return np.where(a % 1 == 0, a, -1)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """`values` as int64.  A float or object array is checked entry by entry:
+    an integral float passes, as in `_node_indices`, and the first entry that
+    is no int64 (a fraction, nan, inf or out of range) is named in a
+    ValueError.  Any other array, integer and bool ones included, is cast by
+    its dtype alone."""
+    a = np.asarray(values)
+    if a.dtype.kind in "fO":
+        whole = _node_indices(a)
+        bad = (whole != a) | (whole < -2**63) | (whole >= 2**63)
+        if bad.any():
+            raise ValueError(f"{what} {a[bad][0]} is not a 64-bit integer")
+    return np.asarray(a, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class SubgraphPartition:
     """Node labelling 1..K where each label class induces a connected subgraph.
@@ -165,9 +180,10 @@ class SubgraphPartition:
     n_subgraphs: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _integers(self.labels, "label")
+        k = int(_integers(self.n_subgraphs, "n_subgraphs"))
         object.__setattr__(self, "labels", labels)
-        k = int(self.n_subgraphs)
+        object.__setattr__(self, "n_subgraphs", k)
         if labels.ndim != 1 or len(labels) == 0:
             raise ValueError("labels must be a non-empty vector")
         if labels.min() < 1 or labels.max() > k:
@@ -177,7 +193,7 @@ class SubgraphPartition:
 
     @classmethod
     def from_labels(cls, labels) -> "SubgraphPartition":
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _integers(labels, "label")
         return cls(labels=labels, n_subgraphs=int(labels.max()) if len(labels) else 0)
 
     @classmethod

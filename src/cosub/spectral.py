@@ -33,7 +33,6 @@ class LocalEigenBasis:
     eigenvalues: np.ndarray
     analysis: np.ndarray
     synthesis: np.ndarray
-    p: int
 
     def __post_init__(self):
         for array in (self.eigenvalues, self.analysis, self.synthesis):
@@ -44,20 +43,9 @@ class LocalEigenBasis:
         return len(self.eigenvalues)
 
 
-def lp_normalize(v: np.ndarray, p: int) -> np.ndarray:
-    """Scale a nonzero vector to unit L1 or L2 norm, preserving direction."""
-    if p not in (1, 2):
-        raise ValueError("normalization exponent must be 1 or 2")
-    v = np.asarray(v, dtype=np.float64)
-    norm = np.abs(v).sum() if p == 1 else float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / norm
-
-
 def _canonical_columns(vecs: np.ndarray, p: int) -> np.ndarray:
-    """Column-wise `lp_normalize` followed by the sign rule, for one block or
-    a stack of blocks (columns run along the second-to-last axis), in place:
+    """Unit L1 or L2 norm per column, then the sign rule, for one block or a
+    stack of blocks (columns run along the second-to-last axis), in place:
     `vecs` is overwritten and returned.
 
     Column sums follow the memory layout: a column stored contiguously is
@@ -238,4 +226,4 @@ def local_eigenbasis(local_laplacian: np.ndarray, p: int) -> LocalEigenBasis:
     if np.ndim(local_laplacian) != 2:
         raise ValueError("Laplacian must be a square matrix")
     w, q = laplacian_eigh(local_laplacian, p)
-    return LocalEigenBasis(w, q, q if p == 2 else dual_basis(q), p=p)
+    return LocalEigenBasis(w, q, q if p == 2 else dual_basis(q))

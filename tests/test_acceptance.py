@@ -233,7 +233,7 @@ def test_criterion_4_haar_equivalence():
 def _subgraph_trees(pyramid):
     trees, prev = [], None
     for level in pyramid.levels:
-        node_lists = level.operators.node_lists
+        node_lists = level.partition.node_lists()
         if prev is None:
             current = [np.array(nodes) for nodes in node_lists]
         else:

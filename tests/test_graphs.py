@@ -1,6 +1,8 @@
 """Graph construction, Laplacians, splitting, coarsening, generators."""
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ import components_oracle
 import graphs_oracle as oracle
 from conftest import brute_coarsen, edge_tuples, graphs_equal, random_connected_partition
 from cosub import (SubgraphPartition, WeightedGraph, as_signal, coarsen,
-                   connected_components, global_eigenbasis, grid_graph, laplacian,
-                   line_graph, partition_is_connected, sbm_graph, split_adjacency)
+                   connected_components, global_eigenbasis, graphs, grid_graph,
+                   laplacian, line_graph, partition_is_connected, sbm_graph,
+                   split_adjacency)
 from cosub.graphs import MAX_NODE_COUNT
 
 
@@ -283,6 +286,55 @@ class TestLaplacian:
         assert w.min() > -1e-12
         # connected graph: zero eigenvalue is simple
         assert np.sum(np.abs(w) < 1e-8) == 1
+
+
+class TestPartitionLabels:
+    @pytest.mark.parametrize("labels, n_subgraphs, bad", [
+        ([1.5, 2.7, 2.2], None, "label 1.5"),
+        ([1.0, 2.0, 2.5], None, "label 2.5"),
+        (np.array([1.0, np.nan]), None, "label nan"),
+        (np.array([np.inf, 1.0]), None, "label inf"),
+        (np.array([1.0, -np.inf]), 1, "label -inf"),
+        ([1.0, 1e300], None, "label 1e+300"),
+        ([1, 10**30], None, f"label {10**30}"),
+        ([1, 1, 2], 2.5, "n_subgraphs 2.5"),
+        ([1, 1, 2], np.nan, "n_subgraphs nan"),
+        ([1, 1, 2], 2.0**63, "n_subgraphs 9.223372036854776e+18"),
+    ], ids=["fractions", "one-fraction", "nan", "inf", "minus-inf", "huge-float",
+            "huge-int", "fractional-count", "nan-count", "huge-count"])
+    def test_non_integers_are_rejected(self, labels, n_subgraphs, bad):
+        """`n_subgraphs` None builds through `from_labels`."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(bad)} is not a 64-bit integer$"):
+                if n_subgraphs is None:
+                    SubgraphPartition.from_labels(labels)
+                else:
+                    SubgraphPartition(labels=labels, n_subgraphs=n_subgraphs)
+
+    @pytest.mark.parametrize("labels, n_subgraphs", [
+        ([1.0, 2.0, 2.0], 2.0),
+        (np.array([1.0, 2.0, 2.0], dtype=np.float32), np.float64(2)),
+        (np.array([1, 2, 2], dtype=np.int32), np.int32(2)),
+        (np.array([1, 2, 2], dtype=np.uint8), 2),
+        (np.array([1, 2, 2], dtype=object), 2),
+    ], ids=["floats", "float32", "int32", "uint8", "object"])
+    def test_integral_values_are_accepted(self, labels, n_subgraphs):
+        for part in (SubgraphPartition(labels=labels, n_subgraphs=n_subgraphs),
+                     SubgraphPartition.from_labels(labels)):
+            assert part.labels.dtype == np.int64 and part.labels.tolist() == [1, 2, 2]
+            assert type(part.n_subgraphs) is int and part.n_subgraphs == 2
+            assert part.sizes.tolist() == [1, 2]
+
+    def test_integer_and_bool_labels_are_checked_by_dtype(self, monkeypatch):
+        def entry_by_entry(values):
+            raise AssertionError("an integer array was checked entry by entry")
+
+        monkeypatch.setattr(graphs, "_node_indices", entry_by_entry)
+        labels = np.array([1, 1, 2, 3])
+        assert SubgraphPartition.from_labels(labels).labels is labels
+        assert SubgraphPartition.compact(labels).n_subgraphs == 3
+        assert SubgraphPartition.from_labels(np.ones(4, dtype=bool)).n_subgraphs == 1
 
 
 class TestNodeLists:

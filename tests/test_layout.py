@@ -4,6 +4,7 @@ replaced: channels, reconstructions, per-channel CSC operators, NLA and
 denoising must agree bit for bit.  Atoms and channel operators are also held
 to the per-channel code in `atoms_oracle`."""
 
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -156,6 +157,33 @@ def oracle_denoise(graph, noisy, sigma, levels, partitions, p):
     return oracle_synthesize_cascade(cleaned)
 
 
+# -- the operators as the oracles read them -----------------------------------
+
+
+class OracleView:
+    """A level's operators as the frozen oracles read them: `node_lists` comes
+    from the partition, every other attribute is the operators' own."""
+
+    def __init__(self, operators):
+        self.operators = operators
+        self.node_lists = operators.partition.node_lists()
+
+    def __getattr__(self, name):
+        return getattr(self.operators, name)
+
+
+def viewed(pyramid):
+    """`pyramid` with every level's operators behind an `OracleView`."""
+    return replace(pyramid, levels=[replace(level, operators=OracleView(level.operators))
+                                    for level in pyramid.levels])
+
+
+# `oracle_denoise` as copied, with the cascade it builds read through views.
+oracle_denoise_viewed = types.FunctionType(
+    oracle_denoise.__code__,
+    {**globals(), "analyze_cascade": lambda *args, **kw: viewed(analyze_cascade(*args, **kw))})
+
+
 # -- partition sources ----------------------------------------------------------
 
 
@@ -269,22 +297,24 @@ class TestLayoutMatchesOracle:
         current, signal = graph, x
         for level in pyramid.levels:
             ops = level.operators
+            view = OracleView(ops)
             oracle_lists = oracle_index_lists(level.partition)
             assert ops.n_channels == len(oracle_lists)
             assert ops.channel_sizes == [len(idx) for idx in oracle_lists]
             assert all(np.array_equal(a, b) for a, b in zip(ops.index_lists, oracle_lists))
-            want, _ = oracle_analyze_level(signal, current, ops, level.a_ext)
+            want, _ = oracle_analyze_level(signal, current, view, level.a_ext)
             assert len(level.channels) == len(want)
             for got, expected in zip(level.channels, want):
                 assert np.array_equal(got, expected)
             assert np.array_equal(synthesize_level(level.channels, ops),
-                                  oracle_synthesize_level(want, ops))
+                                  oracle_synthesize_level(want, view))
             for l in range(1, ops.n_channels + 1):
-                assert_same_csc(ops.analysis_matrix(l), oracle_stacked(ops, l, False))
-                assert_same_csc(ops.synthesis_matrix(l), oracle_stacked(ops, l, True))
-                assert_same_csc(ops.grouping_matrix(l), oracle_grouping_matrix(ops, l))
+                assert_same_csc(ops.analysis_matrix(l), oracle_stacked(view, l, False))
+                assert_same_csc(ops.synthesis_matrix(l), oracle_stacked(view, l, True))
+                assert_same_csc(ops.grouping_matrix(l), oracle_grouping_matrix(view, l))
             current, signal = level.coarse_graph, level.channels[0]
-        assert np.array_equal(synthesize_cascade(pyramid), oracle_synthesize_cascade(pyramid))
+        assert np.array_equal(synthesize_cascade(pyramid),
+                              oracle_synthesize_cascade(viewed(pyramid)))
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -293,14 +323,15 @@ class TestLayoutMatchesOracle:
         pyramid = analyze_cascade(graph, x, partitions, p=p, max_levels=3)
         for level in pyramid.levels:
             ops = level.operators
+            view = OracleView(ops)
             for l in range(1, ops.n_channels + 1):
                 assert_identical_csc(ops.analysis_matrix(l),
-                                     atoms_oracle._channel_matrix(ops, l, "analysis"))
+                                     atoms_oracle._channel_matrix(view, l, "analysis"))
                 assert_identical_csc(ops.synthesis_matrix(l),
-                                     atoms_oracle._channel_matrix(ops, l, "synthesis"))
+                                     atoms_oracle._channel_matrix(view, l, "synthesis"))
                 assert_identical_csc(ops.grouping_matrix(l),
-                                     atoms_oracle._channel_matrix(ops, l, None))
-        got, want = compute_atoms(pyramid), atoms_oracle.compute_atoms(pyramid)
+                                     atoms_oracle._channel_matrix(view, l, None))
+        got, want = compute_atoms(pyramid), atoms_oracle.compute_atoms(viewed(pyramid))
         assert len(got.approximation) == len(want.approximation) == pyramid.num_levels
         for a, b in zip(got.approximation, want.approximation):
             assert_identical_csc(a, b)
@@ -319,11 +350,12 @@ class TestLayoutMatchesOracle:
         for keep in range(total + 1):
             assert_same_pyramid(nla_compress(pyramid, keep), oracle_nla_compress(pyramid, keep))
         keep = draw_keep % (total + 1)
-        assert np.array_equal(synthesize_cascade(nla_compress(pyramid, keep)),
-                              oracle_synthesize_cascade(oracle_nla_compress(pyramid, keep)))
+        assert np.array_equal(
+            synthesize_cascade(nla_compress(pyramid, keep)),
+            oracle_synthesize_cascade(oracle_nla_compress(viewed(pyramid), keep)))
         sigma = float(np.std(x)) / 4.0
         assert np.array_equal(denoise(graph, x, sigma, 2, partitions, p=p),
-                              oracle_denoise(graph, x, sigma, 2, partitions, p))
+                              oracle_denoise_viewed(graph, x, sigma, 2, partitions, p))
 
 
 def test_order_and_offsets_on_the_toy_example(toy_graph, toy_partition):

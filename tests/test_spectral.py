@@ -13,24 +13,32 @@ from hypothesis import strategies as st
 import spectral_oracle as oracle
 from cosub import (SubgraphPartition, build_operators, canonicalize_degenerate,
                    dual_basis, grid_graph, laplacian, laplacian_eigh, local_eigenbasis,
-                   lp_normalize, sbm_graph, spectral)
+                   sbm_graph, spectral)
 
 TRIANGLE = np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 PAIR = np.array([[1.0, -1], [-1, 1]])
 STAR = np.array([[3.0, -1, -1, -1], [-1, 1, 0, 0], [-1, 0, 1, 0], [-1, 0, 0, 1]])
 
 
-class TestLpNormalize:
+class TestCanonicalColumns:
+    """The column normalization every basis goes through, `_canonical_columns`."""
+
     def test_l1(self):
-        assert np.allclose(lp_normalize([1.0, 1.0, 1.0], 1), [1 / 3] * 3)
+        assert np.allclose(spectral._canonical_columns(np.ones((3, 1)), 1), 1 / 3)
 
     def test_l2(self):
-        assert np.allclose(lp_normalize([1.0, 1.0, 1.0], 2), [1 / np.sqrt(3)] * 3)
-        assert np.allclose(lp_normalize([3.0, -4.0], 2), [0.6, -0.8])
+        assert np.allclose(spectral._canonical_columns(np.ones((3, 1)), 2), 1 / np.sqrt(3))
+        assert np.allclose(spectral._canonical_columns(np.array([[3.0], [-4.0]]), 2),
+                           [[0.6], [-0.8]])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            lp_normalize(np.zeros(3), 2)
+            spectral._canonical_columns(np.zeros((3, 1)), 2)
+
+    @pytest.mark.parametrize("p", [0, 3, 1.5])
+    def test_exponent_other_than_1_or_2_rejected(self, p):
+        with pytest.raises(ValueError, match="^normalization exponent must be 1 or 2$"):
+            laplacian_eigh(PAIR, p)
 
 
 class TestLocalEigenbasis:
@@ -416,7 +424,7 @@ def _stack_bases(laps, p):
     and, for p=1, one `dual_basis`."""
     w, q = laplacian_eigh(np.stack(laps), p)
     synthesis = q if p == 2 else dual_basis(q)
-    return [spectral.LocalEigenBasis(*parts, p=p) for parts in zip(w, q, synthesis)]
+    return [spectral.LocalEigenBasis(*parts) for parts in zip(w, q, synthesis)]
 
 
 class TestStackedAgainstOracle:
