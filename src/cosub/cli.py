@@ -101,10 +101,8 @@ def cmd_partition(args) -> int:
 
 class _FixedPartitions:
     """The fixed partition files as a cascade supply, one per level: all are
-    read up front, and each one's label count is checked against the graph
-    of the level that applies it.  Connectivity is left to `build_operators`,
-    which splits each level's graph once; when that level fails,
-    `_run_cascade` names the file."""
+    read up front and handed out unchecked.  The cascade refuses one that
+    does not fit its level's graph, and `_run_cascade` then names the file."""
 
     def __init__(self, args):
         self._fixed = iter([(path, _read("partition", fileio.read_partition, path,
@@ -115,7 +113,6 @@ class _FixedPartitions:
     def __call__(self, graph, signal):
         path, partition = next(self._fixed, (None, None))
         if partition is not None:
-            _check_label_count(graph, partition, f"partition file {path}")
             self.last = graph, partition, path
         return partition
 
@@ -174,13 +171,9 @@ def _run_cascade(args, cascade=analyze_cascade):
         raise
 
 
-def _check_label_count(graph, partition, what: str) -> None:
+def _check_partition(graph, partition, what: str) -> None:
     if partition.n != graph.n:
         raise CliError(f"{what} has {partition.n} labels, graph has {graph.n} nodes")
-
-
-def _check_partition(graph, partition, what: str) -> None:
-    _check_label_count(graph, partition, what)
     if not partition_is_connected(graph, partition):
         raise CliError(f"{what} has a disconnected subgraph")
 

@@ -157,14 +157,17 @@ def _integers(values, what: str) -> np.ndarray:
     """`values` as int64.  A float or object array is checked entry by entry:
     an integral float passes, as in `_node_indices`, and the first entry that
     is no int64 (a fraction, nan, inf or out of range) is named in a
-    ValueError.  Any other array, integer and bool ones included, is cast by
-    its dtype alone."""
+    ValueError.  An unsigned array's largest entry is named if it is out of
+    range.  Any other array, signed integer and bool ones included, is cast
+    by its dtype alone."""
     a = np.asarray(values)
     if a.dtype.kind in "fO":
         whole = _node_indices(a)
         bad = (whole != a) | (whole < -2**63) | (whole >= 2**63)
         if bad.any():
             raise ValueError(f"{what} {a[bad][0]} is not a 64-bit integer")
+    elif a.dtype.kind == "u" and a.size and a.max() >= 2**63:
+        raise ValueError(f"{what} {a.max()} is not a 64-bit integer")
     return np.asarray(a, dtype=np.int64)
 
 

@@ -90,10 +90,12 @@ def canonicalize_degenerate(eigenspace: np.ndarray, p: int) -> np.ndarray:
     kept one, so U[:, m-i] is the unit direction orthogonal to those rows and
     to U[:, m-i+1:], the vectors produced before it: vector i is
     B @ U[:, m-i].  Its forced zeros are the nominal m-i, moved into the run
-    of trailing rows that its m-i kept rows span.  A multiplet is generic when
-    the kept rows are its last m-1 rows, and one stacked QR pair serves every
-    generic eigenspace of a stack; each other one takes one QR of its own kept
-    rows.  The result does not depend on the frame the eigenspace is given in.
+    of trailing rows that its m-i kept rows span: every row from the last of
+    them on.  A multiplet is generic when the kept rows are its last m-1 rows,
+    and one stacked QR serves every generic eigenspace of a stack; each other
+    one scans its rows and takes one QR of its own kept rows.  One product
+    and one zero rule then serve the whole stack.  The result does not depend
+    on the frame the eigenspace is given in.
     """
     e = np.asarray(eigenspace, dtype=np.float64)
     if e.ndim == 1:
@@ -111,19 +113,15 @@ def canonicalize_degenerate(eigenspace: np.ndarray, p: int) -> np.ndarray:
     basis, _ = np.linalg.qr(e)
     u, r = np.linalg.qr(basis[:, :n - m:-1].transpose(0, 2, 1), mode="complete")
     generic = ~np.any(np.abs(np.diagonal(r, axis1=-2, axis2=-1)) < GENERIC_RANK_TOL, axis=-1)
-    out = basis @ u[..., ::-1]
-    # Column i-1 keeps its trailing m-i entries at exactly zero.
-    out[:, n - m + 1:] = np.triu(out[:, n - m + 1:], 1)
+    # kept[i]: the first m-1 kept rows of eigenspace i, its last m-1 if generic.
+    kept = np.repeat(np.arange(n - 1, n - m, -1)[None], len(e), axis=0)
     for i in np.flatnonzero(~generic):
-        rows = _independent_rows(basis[i])
-        u_i, _ = np.linalg.qr(basis[i, rows[:-1]].T, mode="complete")
-        out[i] = basis[i] @ u_i[:, ::-1]
-        # Column m-1-t has t nominal zeros, moved into the run of trailing
-        # row counts that the first t kept rows span: from n - rows[t-1]
-        # (0 for t = 0) to n - 1 - rows[t].
-        bounds = np.concatenate(([n], rows))
-        zeros = np.clip(np.arange(m), n - bounds[:-1], n - 1 - bounds[1:])[::-1]
-        out[i][np.arange(n)[:, None] >= n - zeros] = 0.0
+        kept[i] = _independent_rows(basis[i])
+        u[i], _ = np.linalg.qr(basis[i, kept[i]].T, mode="complete")
+    out = basis @ u[..., ::-1]
+    # Column j is exactly zero from row kept[m-2-j] on; column m-1 has no
+    # forced zeros.
+    out[..., :-1][np.arange(n)[:, None] >= kept[:, None, ::-1]] = 0.0
     out = _canonical_columns(out, p)
     return out[0] if single else out
 
@@ -131,9 +129,9 @@ def canonicalize_degenerate(eigenspace: np.ndarray, p: int) -> np.ndarray:
 def _independent_rows(basis: np.ndarray) -> np.ndarray:
     """The rows of an orthonormal (n, m) frame, scanned from the last node
     backwards, whose part orthogonal to the rows kept before them exceeds
-    GENERIC_RANK_TOL; the scan stops at m rows."""
+    GENERIC_RANK_TOL; the scan stops at the m-1 rows the multiplet rule reads."""
     n, m = basis.shape
-    span = np.empty((m, m))  # orthonormal rows spanning the kept ones
+    span = np.empty((m - 1, m))  # orthonormal rows spanning the kept ones
     kept: list[int] = []
     for row in range(n - 1, -1, -1):
         done = span[:len(kept)]
@@ -142,7 +140,7 @@ def _independent_rows(basis: np.ndarray) -> np.ndarray:
         if norm > GENERIC_RANK_TOL:
             span[len(kept)] = part / norm
             kept.append(row)
-            if len(kept) == m:
+            if len(kept) == m - 1:
                 break
     return np.array(kept)
 

@@ -22,7 +22,7 @@ from cosub import (PartitionConfig, SubgraphPartition, WeightedGraph, analyze_ca
                    haar_partition, line_graph, louvain, nla_compress, sbm_graph,
                    synthesize_cascade)
 from cosub.cli import build_parser, main
-from test_filterbank import weighted_graphs
+from test_filterbank import structured_graphs, weighted_graphs
 
 
 @pytest.fixture
@@ -1064,25 +1064,38 @@ class TestRoundTripProperty:
     @given(graph=weighted_graphs(), impl=st.sampled_from(["sc", "lc"]),
            norm=st.sampled_from(["l1", "l2"]), seed=st.integers(0, 2**32 - 1))
     def test_files_match_the_library(self, graph, impl, norm, seed):
-        x = np.random.default_rng(seed).normal(size=graph.n)
-        pyramid = analyze_cascade(graph, x, PartitionConfig(impl, tau=8, seed=3),
-                                  p=1 if norm == "l1" else 2, max_levels=3)
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            fileio.write_edge_list(graph, tmp / "g.tsv")
-            fileio.write_signal(x, tmp / "x.csv")
-            assert main(["analyze", "--graph", str(tmp / "g.tsv"), "--signal", str(tmp / "x.csv"),
-                         "--impl", impl, "--tau", "8", "--seed", "3", "--levels", "3",
-                         "--norm", norm, "--outdir", str(tmp / "r")]) == 0
-            manifest = fileio.read_manifest(tmp / "r" / "manifest.json")
-            assert len(manifest["levels"]) == pyramid.num_levels
-            for entry, level in zip(manifest["levels"], pyramid.levels):
-                written = [fileio.read_signal(tmp / "r" / name) for name in entry["channels"]]
-                assert [c.tobytes() for c in written] == [c.tobytes() for c in level.channels]
-            assert main(["synthesize", "--manifest", str(tmp / "r" / "manifest.json"),
-                         "--out", str(tmp / "rec.csv")]) == 0
-            rec = fileio.read_signal(tmp / "rec.csv")
-        assert rec.tobytes() == synthesize_cascade(pyramid).tobytes()
+        assert_files_match_the_library(graph, impl, norm, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=structured_graphs(), impl=st.sampled_from(["sc", "lc"]),
+           norm=st.sampled_from(["l1", "l2"]), seed=st.integers(0, 2**32 - 1))
+    def test_files_match_the_library_with_multiplets(self, graph, impl, norm, seed):
+        """The same round trip over graphs with many non-generic multiplets."""
+        assert_files_match_the_library(graph, impl, norm, seed)
+
+
+def assert_files_match_the_library(graph, impl, norm, seed):
+    """`cosub analyze` and `cosub synthesize` on files of `graph` and a
+    random signal give the library's channels and reconstruction, byte for byte."""
+    x = np.random.default_rng(seed).normal(size=graph.n)
+    pyramid = analyze_cascade(graph, x, PartitionConfig(impl, tau=8, seed=3),
+                              p=1 if norm == "l1" else 2, max_levels=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        fileio.write_edge_list(graph, tmp / "g.tsv")
+        fileio.write_signal(x, tmp / "x.csv")
+        assert main(["analyze", "--graph", str(tmp / "g.tsv"), "--signal", str(tmp / "x.csv"),
+                     "--impl", impl, "--tau", "8", "--seed", "3", "--levels", "3",
+                     "--norm", norm, "--outdir", str(tmp / "r")]) == 0
+        manifest = fileio.read_manifest(tmp / "r" / "manifest.json")
+        assert len(manifest["levels"]) == pyramid.num_levels
+        for entry, level in zip(manifest["levels"], pyramid.levels):
+            written = [fileio.read_signal(tmp / "r" / name) for name in entry["channels"]]
+            assert [c.tobytes() for c in written] == [c.tobytes() for c in level.channels]
+        assert main(["synthesize", "--manifest", str(tmp / "r" / "manifest.json"),
+                     "--out", str(tmp / "rec.csv")]) == 0
+        rec = fileio.read_signal(tmp / "rec.csv")
+    assert rec.tobytes() == synthesize_cascade(pyramid).tobytes()
 
 
 class TestOtherCommands:

@@ -300,8 +300,12 @@ class TestPartitionLabels:
         ([1, 1, 2], 2.5, "n_subgraphs 2.5"),
         ([1, 1, 2], np.nan, "n_subgraphs nan"),
         ([1, 1, 2], 2.0**63, "n_subgraphs 9.223372036854776e+18"),
+        (np.array([1, 3 * 2**62], dtype=np.uint64), None, "label 13835058055282163712"),
+        (np.array([2**63, 1, 2**64 - 1], dtype=np.uint64), 1, f"label {2**64 - 1}"),
+        ([1, 1, 2], np.uint64(2**63), f"n_subgraphs {2**63}"),
     ], ids=["fractions", "one-fraction", "nan", "inf", "minus-inf", "huge-float",
-            "huge-int", "fractional-count", "nan-count", "huge-count"])
+            "huge-int", "fractional-count", "nan-count", "huge-count", "huge-uint64",
+            "largest-uint64", "huge-uint64-count"])
     def test_non_integers_are_rejected(self, labels, n_subgraphs, bad):
         """`n_subgraphs` None builds through `from_labels`."""
         with warnings.catch_warnings():
@@ -317,8 +321,9 @@ class TestPartitionLabels:
         (np.array([1.0, 2.0, 2.0], dtype=np.float32), np.float64(2)),
         (np.array([1, 2, 2], dtype=np.int32), np.int32(2)),
         (np.array([1, 2, 2], dtype=np.uint8), 2),
+        (np.array([1, 2, 2], dtype=np.uint64), np.uint64(2)),
         (np.array([1, 2, 2], dtype=object), 2),
-    ], ids=["floats", "float32", "int32", "uint8", "object"])
+    ], ids=["floats", "float32", "int32", "uint8", "uint64", "object"])
     def test_integral_values_are_accepted(self, labels, n_subgraphs):
         for part in (SubgraphPartition(labels=labels, n_subgraphs=n_subgraphs),
                      SubgraphPartition.from_labels(labels)):

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multiplet_oracle
 import spectral_oracle as oracle
 from cosub import (SubgraphPartition, build_operators, canonicalize_degenerate,
                    dual_basis, grid_graph, laplacian, laplacian_eigh, local_eigenbasis,
                    sbm_graph, spectral)
+from test_filterbank import structured_graphs
 
 TRIANGLE = np.array([[2.0, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 PAIR = np.array([[1.0, -1], [-1, 1]])
@@ -339,6 +341,30 @@ class TestCanonicalizeFallback:
             with pytest.raises(ValueError, match=message):
                 canonicalize_degenerate(np.eye(*shape), p=1)
         assert search_calls == []
+
+
+class TestMultipletOracle:
+    """The multiplet rule against its copy frozen in `multiplet_oracle`:
+    equal bits for generic and non-generic eigenspaces, alone and stacked."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=structured_graphs(), m=st.integers(1, 6), extra=st.integers(1, 8),
+           p=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_the_frozen_rule(self, graph, m, extra, p, seed):
+        rng = np.random.default_rng(seed)
+        for block in _multiplets(laplacian(graph)) + [rng.standard_normal((m + extra, m))]:
+            n, m = block.shape
+            # A random frame is generic; one with zeroed trailing rows is not
+            # (for m > 1).  Stacked with `block` in a random order, a
+            # non-generic eigenspace meets a generic one in every stack.
+            frames = rng.standard_normal((2, n, m))
+            frames[1, n - rng.integers(1, n - m + 1):] = 0.0
+            stack = np.concatenate([block[None], frames])[rng.permutation(3)]
+            for eigenspace in (block, *frames, stack):
+                got = canonicalize_degenerate(eigenspace, p)
+                want = multiplet_oracle.canonicalize_degenerate(eigenspace, p)
+                # Bytes, not values: a zero must keep its sign as well.
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @st.composite
